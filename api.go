@@ -54,33 +54,16 @@ func WithAlgorithm(a Algorithm) Option {
 	return func(c *repairConfig) { c.alg = a }
 }
 
-// EngineMode names a parallelization mode of the symbolic engine.
-type EngineMode string
-
-// The engine modes.
-const (
-	// EnginePartitioned (the default) is the share-nothing engine: private
-	// BDD worker managers, canonical DAG transfer between them, merges on
-	// the owning manager.
-	EnginePartitioned = EngineMode(program.ModePartitioned)
-	// EngineShared is the shared-memory engine: all workers operate on one
-	// shared node table with per-worker operation caches; merge barriers
-	// double as stop-the-world GC/reordering points. Results are identical
-	// to every other mode and worker count.
-	EngineShared = EngineMode(program.ModeShared)
-)
-
 // EngineConfig consolidates every engine-tuning knob behind one struct: the
-// parallelization mode and worker count, the node-lifetime knobs (budget, GC
-// cadence, reordering cadence), and the verification backend. The zero value
-// of every field selects its default (partitioned mode, GOMAXPROCS workers,
-// unbounded nodes, default cadences, BDD backend), so callers set only what
+// node-lifetime knobs (budget, GC cadence, reordering cadence) and the
+// verification backend. The zero value of every field selects its default
+// (unbounded nodes, default cadences, BDD backend), so callers set only what
 // they mean.
 type EngineConfig struct {
-	// Mode selects the parallel engine: EnginePartitioned (default) or
-	// EngineShared.
-	Mode EngineMode
-	// Workers is the worker count; below 1 selects GOMAXPROCS, 1 is serial.
+	// Workers sized one of the removed multi-worker engines. Only 0 and 1
+	// are accepted; any other value makes Repair and Verify fail.
+	//
+	// Deprecated: the engine is serial.
 	Workers int
 	// NodeBudget, when positive, bounds the live BDD node count; a blown
 	// budget fails the run with *BudgetError instead of exhausting memory.
@@ -104,7 +87,6 @@ type EngineConfig struct {
 // were removed; each one maps to the EngineConfig field of the same name.
 func WithEngine(ec EngineConfig) Option {
 	return func(c *repairConfig) {
-		c.opts.Mode = string(ec.Mode)
 		c.opts.Workers = ec.Workers
 		c.opts.NodeBudget = ec.NodeBudget
 		c.opts.GCThreshold = ec.GCThreshold
@@ -142,7 +124,7 @@ type CostModel = repair.CostModel
 // read-restriction groups once converged. The result carries the exact
 // weighted counts in Result.AchievedCost (kept recovery transitions) and
 // Result.CostRemoved (original transitions deleted); both are identical
-// across worker counts and engine modes. Weights come from the model's .ftr
+// across collection and reordering cadences. Weights come from the model's .ftr
 // `cost` annotations, overridden by cm (see CostModel).
 func WithCostModel(cm CostModel) Option {
 	return func(c *repairConfig) {
@@ -155,7 +137,7 @@ func WithCostModel(cm CostModel) Option {
 // Result.Witnesses: certified traces, one per fault action, that leave the
 // synthesized invariant via faults and converge back to it via program
 // steps. Extraction is deterministic — the same model yields byte-identical
-// witness JSON regardless of the worker count. n ≤ 0 (the default) extracts
+// witness JSON from run to run. n ≤ 0 (the default) extracts
 // nothing.
 func WithWitnesses(n int) Option {
 	return func(c *repairConfig) { c.witnesses = n }
@@ -171,10 +153,9 @@ func WithOptions(o Options) Option {
 
 // Repair compiles the definition and synthesizes a masking fault-tolerant
 // program from it. It is the single entry point of the library: the
-// algorithm, worker budget, timeout, and logging are all functional options,
+// algorithm, engine knobs, timeout, and logging are all functional options,
 // and the context carries cancellation. With no options it runs the paper's
-// headline configuration (lazy repair, reachability heuristic on, GOMAXPROCS
-// workers).
+// headline configuration (lazy repair, reachability heuristic on).
 func Repair(ctx context.Context, def *Def, opts ...Option) (compiled *Compiled, result *Result, err error) {
 	cfg := repairConfig{opts: repair.DefaultOptions()}
 	for _, o := range opts {
@@ -243,8 +224,8 @@ func NodeStats(c *Compiled) (live, peak, gcRuns, freed int64) {
 // Verify independently checks a repair result against the paper's
 // definitions: the problem-statement conditions of Section II, masking
 // fault-tolerance (Definition 15), and realizability (Definitions 19–20).
-// It accepts the same functional options as Repair — WithEngine selects the
-// worker count and node-lifetime knobs of the checking managers and routes
+// It accepts the same functional options as Repair — WithEngine sets the
+// node-lifetime knobs of the checking manager and routes
 // the reachability checks through the SAT/BMC engine via its Backend field,
 // and WithTimeout bounds the checking. Options that only steer synthesis
 // (WithAlgorithm, WithWitnesses, WithCostModel) are accepted and ignored.

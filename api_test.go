@@ -9,7 +9,7 @@ import (
 )
 
 // TestRepairSingleEntry drives the redesigned entry point through both
-// algorithms and a multi-worker engine, and checks the result verifies.
+// algorithms and checks the result verifies.
 func TestRepairSingleEntry(t *testing.T) {
 	for _, alg := range []Algorithm{LazyAlg, CautiousAlg} {
 		def, err := CaseStudy("sc", 4)
@@ -17,11 +17,11 @@ func TestRepairSingleEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 		c, res, err := Repair(context.Background(), def,
-			WithAlgorithm(alg), WithEngine(EngineConfig{Workers: 2}))
+			WithAlgorithm(alg), WithEngine(EngineConfig{Workers: 1}))
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
-		rep, err := Verify(context.Background(), c, res, WithEngine(EngineConfig{Workers: 2}))
+		rep, err := Verify(context.Background(), c, res, WithEngine(EngineConfig{Workers: 1}))
 		if err != nil {
 			t.Fatalf("%v: verify: %v", alg, err)
 		}
@@ -52,23 +52,43 @@ func TestRepairTimeout(t *testing.T) {
 }
 
 // TestVerifyOptionsAgree checks the redesigned Verify against itself across
-// worker counts and manager tuning: same verdict, any options.
+// manager tuning: same verdict, any options.
 func TestVerifyOptionsAgree(t *testing.T) {
 	def, _ := CaseStudy("sc", 4)
 	c, res, err := Repair(context.Background(), def)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := Verify(context.Background(), c, res, WithEngine(EngineConfig{Workers: 1}))
+	plain, err := Verify(context.Background(), c, res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Verify(context.Background(), c, res, WithEngine(EngineConfig{Workers: 3, Reorder: 1 << 14}))
+	tuned, err := Verify(context.Background(), c, res, WithEngine(EngineConfig{Reorder: 1 << 14}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.OK() != parallel.OK() || !serial.OK() {
-		t.Fatalf("verify verdicts disagree: serial %v, parallel %v", serial.OK(), parallel.OK())
+	if plain.OK() != tuned.OK() || !plain.OK() {
+		t.Fatalf("verify verdicts disagree: default %v, reordering %v", plain.OK(), tuned.OK())
+	}
+}
+
+// TestEngineWorkersSerialOnly checks that the deprecated
+// EngineConfig.Workers accepts only the serial values: a wider engine is an
+// error from both Repair and Verify, never a silent serial run.
+func TestEngineWorkersSerialOnly(t *testing.T) {
+	def, _ := CaseStudy("sc", 3)
+	c, res, err := Repair(context.Background(), def, WithEngine(EngineConfig{Workers: 0}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{-1, 2, 4} {
+		wide := WithEngine(EngineConfig{Workers: w})
+		if _, _, err := Repair(context.Background(), def, wide); err == nil {
+			t.Errorf("Repair with %d workers succeeded, want an error", w)
+		}
+		if _, err := Verify(context.Background(), c, res, wide); err == nil {
+			t.Errorf("Verify with %d workers succeeded, want an error", w)
+		}
 	}
 }
 

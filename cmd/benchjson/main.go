@@ -6,16 +6,15 @@
 //
 // Usage:
 //
-//	benchjson                 # full ladder -> BENCH_1.json
-//	benchjson -quick          # small instances only
-//	benchjson -out perf.json  # alternate output path
-//	benchjson -workers 4      # parallel engine width (reports gain "workers")
-//	benchjson -gc             # GC on/off comparison -> BENCH_4.json
-//	benchjson -reorder        # reordering on/off comparison -> BENCH_5.json
-//	benchjson -backend        # BDD vs SAT verification -> BENCH_6.json
-//	benchjson -engine shared  # run the ladder on the shared-table engine
-//	benchjson -scaling        # per-core scaling, shared vs partitioned -> BENCH_8.json
-//	benchjson -cost           # cost-blind vs cost-aware synthesis -> BENCH_9.json
+//	benchjson -out perf.json           # full ladder
+//	benchjson -quick -out perf.json    # small instances only
+//	benchjson -gc -out perf.json       # GC on/off comparison (BENCH_4.json)
+//	benchjson -reorder -out perf.json  # reordering on/off comparison (BENCH_5.json)
+//	benchjson -backend -out perf.json  # BDD vs SAT verification (BENCH_6.json)
+//	benchjson -cost -out perf.json     # cost-blind vs cost-aware synthesis (BENCH_9.json)
+//
+// -out is required, so a run never overwrites a committed snapshot by
+// default; the parenthesized names are the committed snapshots of each mode.
 //
 // The -gc mode runs the two largest stabilizing-chain instances twice each —
 // once with automatic collection disabled and once with an aggressive
@@ -27,23 +26,6 @@
 // each — reordering off and on, same GC cadence — and writes records tagged
 // with the reordering arm, so the node-table reduction of dynamic sifting is
 // directly visible in the bdd_peak_nodes / bdd_nodes_live fields.
-//
-// The -scaling mode runs the stabilizing-chain instances sc(8) through
-// sc(12) across a worker ladder (1, 2, 4) under both parallel engines —
-// partitioned (private worker managers, canonical DAG transfer at merges)
-// and shared (one lock-free node table, per-worker caches) — and writes one
-// RunReport per cell plus a host block (OS, arch, CPU count); engine_mode,
-// workers, the *_ns fields, and the fix_* scheduler counters make the
-// scaling curves directly plottable. The partitioned workers=1 row is the
-// serial engine. Interpret the numbers against the host block: on a box
-// with fewer physical cores than workers, the extra workers measure
-// scheduling overhead, not speedup. Earlier snapshots (BENCH_7.json) pinned
-// the instance at sc(8) because the round-based parallel fixpoints of that
-// generation recomputed images of the whole reached set every round, which
-// on the deep chain of sc(12) made any multi-worker run orders of magnitude
-// slower than serial; the unified frontier-chained scheduler (see
-// internal/program/fixpoint.go and DESIGN.md §19) removed that pathology,
-// so the ladder now runs unpinned through sc(12).
 //
 // The -backend mode verifies each ladder instance's repaired program under
 // both verification backends (BDD fixpoints vs SAT bounded model checking)
@@ -58,8 +40,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -103,14 +85,12 @@ type gcReport struct {
 // never trigger there, which would make the comparison vacuous).
 const aggressiveGCThreshold = 1 << 16
 
-func runOne(ctx context.Context, inst instance, mode string, workers, witnesses int, gcThreshold, reorder int64) (core.RunReport, error) {
+func runOne(ctx context.Context, inst instance, witnesses int, gcThreshold, reorder int64) (core.RunReport, error) {
 	def, err := core.CaseStudy(inst.name, inst.n)
 	if err != nil {
 		return core.RunReport{}, err
 	}
 	opts := repair.DefaultOptions()
-	opts.Mode = mode
-	opts.Workers = workers
 	opts.GCThreshold = gcThreshold
 	opts.Reorder = reorder
 	job := core.Job{
@@ -127,7 +107,7 @@ func runOne(ctx context.Context, inst instance, mode string, workers, witnesses 
 	return core.NewRunReport(job, outc, inst.name, inst.n), nil
 }
 
-func gcComparison(ctx context.Context, out, mode string, workers, witnesses int) {
+func gcComparison(ctx context.Context, out string, witnesses int) {
 	instances := []instance{{"sc", 8}, {"sc", 12}}
 	arms := []struct {
 		label     string
@@ -139,7 +119,7 @@ func gcComparison(ctx context.Context, out, mode string, workers, witnesses int)
 	var reports []gcReport
 	for _, inst := range instances {
 		for _, arm := range arms {
-			r, err := runOne(ctx, inst, mode, workers, witnesses, arm.threshold, 0)
+			r, err := runOne(ctx, inst, witnesses, arm.threshold, 0)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "benchjson:", err)
 				os.Exit(1)
@@ -171,7 +151,7 @@ const reorderSiftThreshold = 1 << 16
 // an aggressive cadence would itself flatten the peaks reordering targets,
 // masking the comparison — at the default, the peak-live fields reflect the
 // fixpoints' actual working sets under each variable order.
-func reorderComparison(ctx context.Context, out, mode string, quick bool, workers, witnesses int) {
+func reorderComparison(ctx context.Context, out string, quick bool, witnesses int) {
 	instances := []instance{{"sc", 8}, {"sc", 12}, {"ba", 6}}
 	if quick {
 		instances = []instance{{"sc", 8}, {"ba", 3}}
@@ -186,7 +166,7 @@ func reorderComparison(ctx context.Context, out, mode string, quick bool, worker
 	var reports []reorderReport
 	for _, inst := range instances {
 		for _, arm := range arms {
-			r, err := runOne(ctx, inst, mode, workers, witnesses, 0, arm.reorder)
+			r, err := runOne(ctx, inst, witnesses, 0, arm.reorder)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "benchjson:", err)
 				os.Exit(1)
@@ -198,64 +178,6 @@ func reorderComparison(ctx context.Context, out, mode string, quick bool, worker
 		}
 	}
 	writeJSON(out, reports, len(reports))
-}
-
-// scalingHost records where a scaling run happened. A scaling curve is
-// meaningless without it: workers beyond the physical core count measure
-// scheduling overhead, not speedup.
-type scalingHost struct {
-	OS         string `json:"os"`
-	Arch       string `json:"arch"`
-	CPUs       int    `json:"cpus"` // runtime.NumCPU — what the OS exposes
-	GoMaxProcs int    `json:"gomaxprocs"`
-	GoVersion  string `json:"go_version"`
-}
-
-// scalingSnapshot is the BENCH_8.json shape: host metadata plus one
-// RunReport per (instance, engine, workers) cell.
-type scalingSnapshot struct {
-	Host scalingHost      `json:"host"`
-	Runs []core.RunReport `json:"runs"`
-}
-
-// scalingComparison runs the stabilizing-chain instances sc(8)..sc(12)
-// across a worker ladder under both parallel engines (the partitioned
-// workers=1 cell is the serial engine). Each cell is a full repair+verify
-// job; the RunReport's engine_mode and workers fields identify the cell,
-// total_ns carries the wall time, and the fix_* fields carry the scheduler's
-// round/image/frontier counters, so the output is directly plottable as
-// scaling curves per instance.
-func scalingComparison(ctx context.Context, out string, quick bool, witnesses int) {
-	sizes := []int{8, 9, 10, 11, 12}
-	if quick {
-		sizes = []int{5, 8}
-	}
-	engines := []string{string(program.ModePartitioned), string(program.ModeShared)}
-	ladder := []int{1, 2, 4}
-	snap := scalingSnapshot{Host: scalingHost{
-		OS:         runtime.GOOS,
-		Arch:       runtime.GOARCH,
-		CPUs:       runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-	}}
-	for _, n := range sizes {
-		inst := instance{"sc", n}
-		for _, mode := range engines {
-			for _, w := range ladder {
-				r, err := runOne(ctx, inst, mode, w, witnesses, 0, 0)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "benchjson:", err)
-					os.Exit(1)
-				}
-				snap.Runs = append(snap.Runs, r)
-				fmt.Fprintf(os.Stderr, "benchjson: %-4s n=%-2d engine=%-11s workers=%d total=%s verify=%s rounds=%d images=%d\n",
-					inst.name, inst.n, r.EngineMode, r.Workers,
-					time.Duration(r.TotalNS), time.Duration(r.VerifyNS), r.FixRounds, r.FixImages)
-			}
-		}
-	}
-	writeJSON(out, snap, len(snap.Runs))
 }
 
 // costReport is one record of the -cost comparison: a RunReport tagged with
@@ -271,7 +193,7 @@ type costReport struct {
 // It enforces the refinement's contract: identical verdicts on every
 // instance, achieved_cost never higher under mincost, and strictly lower on
 // at least one instance (otherwise the pass did nothing and the run fails).
-func costComparison(ctx context.Context, out, mode string, quick bool, workers int) {
+func costComparison(ctx context.Context, out string, quick bool) {
 	var reports []costReport
 	improved := false
 	for _, inst := range ladder(quick) {
@@ -283,8 +205,6 @@ func costComparison(ctx context.Context, out, mode string, quick bool, workers i
 		var arms [2]core.RunReport
 		for i, arm := range []string{"baseline", "mincost"} {
 			opts := repair.DefaultOptions()
-			opts.Mode = mode
-			opts.Workers = workers
 			opts.Costs = &repair.CostModel{Default: 1}
 			opts.MinimizeCost = arm == "mincost"
 			job := core.Job{Def: def, Algorithm: core.LazyRepair, Options: opts, Verify: true}
@@ -373,7 +293,7 @@ func swapDef(n int) *program.Def {
 // verifyUnder times one verification pass of res under the given backend.
 func verifyUnder(ctx context.Context, c *program.Compiled, res *repair.Result, backend verify.Backend) (*verify.Report, time.Duration, error) {
 	t0 := time.Now()
-	rep, err := verify.ResultBackendEngine(ctx, program.SerialEngine(c), res, backend, true)
+	rep, err := verify.ResultBackendEngine(ctx, program.NewEngine(c), res, backend, true)
 	return rep, time.Since(t0), err
 }
 
@@ -388,7 +308,7 @@ func traceDepth(rep *verify.Report) int {
 	return 0
 }
 
-func backendComparison(ctx context.Context, out string, quick bool, workers int) {
+func backendComparison(ctx context.Context, out string, quick bool) {
 	backends := []verify.Backend{verify.BackendBDD, verify.BackendSAT}
 	var records []backendRecord
 
@@ -407,9 +327,7 @@ func backendComparison(ctx context.Context, out string, quick bool, workers int)
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
-		opts := repair.DefaultOptions()
-		opts.Workers = workers
-		res, err := repair.Lazy(ctx, c, opts)
+		res, err := repair.Lazy(ctx, c, repair.DefaultOptions())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchjson: %s n=%d: %v\n", inst.name, inst.n, err)
 			os.Exit(1)
@@ -477,73 +395,57 @@ func writeJSON(out string, v any, n int) {
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %d reports to %s\n", n, out)
 }
 
-func main() {
-	var (
-		out       = flag.String("out", "", "output path (default BENCH_1.json, or BENCH_4.json with -gc)")
-		quick     = flag.Bool("quick", false, "run only the small instances")
-		timeout   = flag.Duration("timeout", 10*time.Minute, "deadline for the whole ladder")
-		workers   = flag.Int("workers", 1, "parallel-engine workers per job (0 = GOMAXPROCS)")
-		engine    = flag.String("engine", "partitioned", "parallel engine mode: partitioned or shared")
-		witnesses = flag.Int("witnesses", 0, "recovery demonstrations per job (adds witness extraction to the measured phases)")
-		gc        = flag.Bool("gc", false, "run the GC on/off comparison on the chain instances instead of the ladder")
-		reorder   = flag.Bool("reorder", false, "run the variable-reordering on/off comparison instead of the ladder")
-		backend   = flag.Bool("backend", false, "run the BDD vs SAT verification-backend comparison instead of the ladder")
-		scaling   = flag.Bool("scaling", false, "run the per-core scaling comparison (shared vs partitioned engine) instead of the ladder")
-		cost      = flag.Bool("cost", false, "run the cost-blind vs cost-aware synthesis comparison instead of the ladder")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
 
-	mode, err := program.ParseMode(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+// run parses the flags and runs the selected mode, returning the exit code:
+// 2 for a usage error (nothing is run or written), 0 otherwise — the modes
+// exit the process themselves when a run fails.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		out       = fs.String("out", "", "output path (required)")
+		quick     = fs.Bool("quick", false, "run only the small instances")
+		timeout   = fs.Duration("timeout", 10*time.Minute, "deadline for the whole ladder")
+		witnesses = fs.Int("witnesses", 0, "recovery demonstrations per job (adds witness extraction to the measured phases)")
+		gc        = fs.Bool("gc", false, "run the GC on/off comparison on the chain instances instead of the ladder")
+		reorder   = fs.Bool("reorder", false, "run the variable-reordering on/off comparison instead of the ladder")
+		backend   = fs.Bool("backend", false, "run the BDD vs SAT verification-backend comparison instead of the ladder")
+		cost      = fs.Bool("cost", false, "run the cost-blind vs cost-aware synthesis comparison instead of the ladder")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *out == "" {
+		fmt.Fprintln(stderr, "benchjson: -out is required (the committed BENCH_*.json snapshots are never a default target)")
+		fs.Usage()
+		return 2
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	if *gc {
-		if *out == "" {
-			*out = "BENCH_4.json"
-		}
-		gcComparison(ctx, *out, string(mode), *workers, *witnesses)
-		return
+	switch {
+	case *gc:
+		gcComparison(ctx, *out, *witnesses)
+	case *reorder:
+		reorderComparison(ctx, *out, *quick, *witnesses)
+	case *backend:
+		backendComparison(ctx, *out, *quick)
+	case *cost:
+		costComparison(ctx, *out, *quick)
+	default:
+		ladderRun(ctx, *out, *quick, *witnesses)
 	}
-	if *reorder {
-		if *out == "" {
-			*out = "BENCH_5.json"
-		}
-		reorderComparison(ctx, *out, string(mode), *quick, *workers, *witnesses)
-		return
-	}
-	if *backend {
-		if *out == "" {
-			*out = "BENCH_6.json"
-		}
-		backendComparison(ctx, *out, *quick, *workers)
-		return
-	}
-	if *scaling {
-		if *out == "" {
-			*out = "BENCH_8.json"
-		}
-		scalingComparison(ctx, *out, *quick, *witnesses)
-		return
-	}
-	if *cost {
-		if *out == "" {
-			*out = "BENCH_9.json"
-		}
-		costComparison(ctx, *out, string(mode), *quick, *workers)
-		return
-	}
-	if *out == "" {
-		*out = "BENCH_1.json"
-	}
+	return 0
+}
 
+// ladderRun repairs and verifies every ladder instance and writes one
+// RunReport per instance.
+func ladderRun(ctx context.Context, out string, quick bool, witnesses int) {
 	var reports []core.RunReport
-	for _, inst := range ladder(*quick) {
-		r, err := runOne(ctx, inst, string(mode), *workers, *witnesses, 0, 0)
+	for _, inst := range ladder(quick) {
+		r, err := runOne(ctx, inst, witnesses, 0, 0)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
@@ -554,5 +456,5 @@ func main() {
 			time.Duration(r.TotalNS), time.Duration(r.WitnessNS),
 			r.Verified != nil && *r.Verified)
 	}
-	writeJSON(*out, reports, len(reports))
+	writeJSON(out, reports, len(reports))
 }

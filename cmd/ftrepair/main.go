@@ -54,8 +54,6 @@ func main() {
 		witnesses = flag.Int("witnesses", 4, "max recovery demonstrations with -explain (one per fault action)")
 		jsonOut   = flag.Bool("json", false, "emit one machine-readable JSON report on stdout")
 		timeout   = flag.Duration("timeout", 0, "abort synthesis after this long (0 = no limit)")
-		engine    = flag.String("engine", "partitioned", "parallel engine mode: partitioned (private worker managers) or shared (one shared node table)")
-		workers   = flag.Int("workers", 0, "parallel-engine workers (0 = GOMAXPROCS, 1 = serial); private managers in partitioned mode, views of one table in shared mode")
 		budget    = flag.Int64("node-budget", 0, "fail the run if live BDD nodes exceed this after a collection (0 = unbounded)")
 		reorder   = flag.Int64("reorder", 0, "run a BDD variable-reordering (sifting) pass after this many node allocations (0 = off)")
 		costModel = flag.String("cost-model", "", "price transitions and minimize repair cost: \"default=N,action=W,proc.action=W,...\" (weights override .ftr cost annotations)")
@@ -84,13 +82,9 @@ func main() {
 			DeferCycles: *deferCyc,
 			NoVerify:    !*doVerify,
 			TimeoutMS:   timeout.Milliseconds(),
-			Engine: &service.EngineSpec{
-				Mode:       *engine,
-				Workers:    *workers,
-				NodeBudget: *budget,
-				Reorder:    *reorder,
-				Backend:    *backend,
-			},
+			NodeBudget:  *budget,
+			Reorder:     *reorder,
+			Backend:     *backend,
 		}
 		if costs != nil {
 			spec.Cost = &service.CostSpec{Default: costs.Default, Actions: costs.Actions, Minimize: true}
@@ -123,15 +117,9 @@ func main() {
 		fatal(err)
 	}
 
-	mode, err := program.ParseMode(*engine)
-	if err != nil {
-		fatal(err)
-	}
 	opts := repair.DefaultOptions()
 	opts.ReachabilityHeuristic = !*pure
 	opts.DeferCycleBreaking = *deferCyc
-	opts.Mode = string(mode)
-	opts.Workers = *workers
 	opts.NodeBudget = *budget
 	opts.Reorder = *reorder
 	if costs != nil {
@@ -203,8 +191,6 @@ func main() {
 		fmt.Printf("  step 2:          %v\n", res.Stats.Step2)
 	}
 	fmt.Printf("outer iterations:  %d\n", res.Stats.OuterIterations)
-	fmt.Printf("engine mode:       %s\n", out.Mode)
-	fmt.Printf("engine workers:    %d\n", out.Workers)
 	fmt.Printf("invariant:         %.3g states\n", s.CountStates(res.Invariant))
 	fmt.Printf("fault-span:        %.3g states\n", s.CountStates(res.FaultSpan))
 	fmt.Printf("BDD nodes:         %d\n", res.Stats.BDDNodes)

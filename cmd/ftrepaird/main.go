@@ -54,7 +54,6 @@ func main() {
 		addr       = flag.String("addr", "127.0.0.1:8727", "listen address")
 		mode       = flag.String("mode", "single", "single (run jobs locally) or coordinator (route jobs across -replicas)")
 		workers    = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		jobWorkers = flag.Int("job-workers", 0, "default per-job parallel-engine width for specs that omit workers (0 = serial jobs)")
 		queueDepth = flag.Int("queue", 64, "bounded work-queue depth")
 		cacheSize  = flag.Int("cache", 256, "result-cache entries")
 		defTimeout = flag.Duration("default-timeout", 5*time.Minute, "per-job deadline when the spec sets none")
@@ -84,7 +83,6 @@ func main() {
 	case "single":
 		cfg := service.Config{
 			Workers:         *workers,
-			JobWorkers:      *jobWorkers,
 			QueueDepth:      *queueDepth,
 			CacheEntries:    *cacheSize,
 			DefaultTimeout:  *defTimeout,

@@ -32,12 +32,6 @@ package bdd
 // min-analogue of Exists: it projects a cube of variables out of a weighted
 // function by taking the cheapest branch, the existential cost projection
 // used to price transition groups.
-//
-// Concurrency. Terminal interning mutates manager-level maps with no
-// synchronization, so ADD operations must not run inside shared-memory
-// parallel regions; AddConst panics on a worker view. The repair pipeline
-// computes all costs on the primary manager outside parallel regions, which
-// is also what keeps weighted runs byte-identical across engine modes.
 
 import (
 	"fmt"
@@ -115,10 +109,6 @@ func (m *Manager) addConst(v int64) Node {
 	}
 	if t, ok := m.addTerm[v]; ok {
 		return t
-	}
-	if m.shared != nil {
-		panic("bdd: ADD operations are not available inside shared parallel regions " +
-			"(terminal interning is unsynchronized); compute costs on the primary manager")
 	}
 	var idx Node
 	if m.freeHead != 0 {

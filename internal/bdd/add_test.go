@@ -296,8 +296,8 @@ func TestAddTransferRoundTrip(t *testing.T) {
 	vars := m.NewVars(6)
 	f, o := randWeighted(t, m, rng, vars, 4)
 
-	// A pure BDD must still use the v2 format (byte-compatibility with the
-	// worker-pool transfer path and its goldens).
+	// A pure BDD must still use the v2 format (byte-compatibility with
+	// existing canonical exports).
 	if buf := m.Export(m.And(vars[0], vars[1])); buf[1] != transferVersion {
 		t.Fatalf("pure-BDD export uses version %#x, want %#x", buf[1], transferVersion)
 	}

@@ -108,13 +108,6 @@ type Manager struct {
 	addTerm map[int64]Node // value -> terminal slot
 	addVal  map[Node]int64 // terminal slot -> value
 
-	// Shared-memory parallel mode (see shared.go, sched.go).
-	shared      *Shared    // set on a view while a parallel region is active
-	sharedViews []*Manager // set on the primary for a Shared session's lifetime
-	chunk       []Node     // view-private allocation chunk during a region
-	team        *stealTeam // set on a view while a Shared.Run drives it (fork/join)
-	worker      int        // this view's worker index in team
-
 	// Statistics.
 	stats Stats
 
@@ -208,8 +201,7 @@ func New() *Manager {
 
 // NewSized creates an empty Manager whose operation caches hold 2^cacheBits
 // entries each. The default (New) is tuned for a synthesis that owns the
-// machine; worker managers in a Pool use fewer bits so that N workers do not
-// multiply the memory footprint by N.
+// machine; tests use fewer bits to keep many small managers cheap.
 func NewSized(cacheBits int) *Manager {
 	if cacheBits < 10 || cacheBits > 28 {
 		panic(fmt.Sprintf("bdd: NewSized: cacheBits %d out of range [10,28]", cacheBits))
@@ -350,12 +342,6 @@ func (m *Manager) High(f Node) Node { return m.nodes[f].high }
 func (m *Manager) mk(level int32, low, high Node) Node {
 	if low == high {
 		return low
-	}
-	if m.shared != nil {
-		// Inside a parallel region the receiver is a worker view: node
-		// creation goes through the lock-free shared path, and maintenance
-		// triggers (GC, reorder, budget) are deferred to the barrier.
-		return m.mkShared(level, low, high)
 	}
 	h := hash3(uint64(level), uint64(low), uint64(high)) & m.uniqueMask
 	for {

@@ -70,7 +70,7 @@ var stressThreshold = sync.OnceValue(func() int64 {
 // BudgetError reports that a manager exceeded its node budget even after a
 // collection. It is delivered as a panic at the offending operation's safe
 // point and converted back to an error at the run boundary (core.Run,
-// repro.Repair, Pool.Map), so a runaway synthesis fails cleanly instead of
+// repro.Repair, repro.Verify), so a runaway synthesis fails cleanly instead of
 // exhausting memory.
 type BudgetError struct {
 	Live   int // live node count after the failed collection
@@ -293,20 +293,6 @@ func (m *Manager) collect() {
 	}
 	for _, n := range m.tmpRoots {
 		push(n)
-	}
-	// Worker views of a shared session root nodes in the primary's table;
-	// their root sets join the mark phase so view-held results survive
-	// barrier maintenance.
-	for _, v := range m.sharedViews {
-		for n := range v.refs {
-			push(n)
-		}
-		for _, n := range v.recent {
-			push(n)
-		}
-		for _, n := range v.tmpRoots {
-			push(n)
-		}
 	}
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]

@@ -147,8 +147,8 @@ func (m *Manager) Reorder() {
 
 // SetOrder rearranges the variables into the given order (order[level] =
 // variable id, a bijection over all allocated variables) via adjacent swaps.
-// Workers in a pool use it to re-align with the owning manager's order at
-// merge barriers, keeping transfers on the fast structural path.
+// Pinning the identity order before Export gives a canonical buffer that
+// does not depend on how many reordering passes a run triggered.
 func (m *Manager) SetOrder(order []int) {
 	if len(order) != m.numVars {
 		panic(fmt.Sprintf("bdd: SetOrder: order has %d entries, manager has %d variables", len(order), m.numVars))
@@ -426,19 +426,6 @@ func (m *Manager) buildReorderLists() {
 	}
 	for _, n := range m.tmpRoots {
 		setExt(n)
-	}
-	// Nodes rooted by the worker views of a shared session are external too:
-	// sifting at a barrier must preserve results held by idle views.
-	for _, v := range m.sharedViews {
-		for n := range v.refs {
-			setExt(n)
-		}
-		for _, n := range v.recent {
-			setExt(n)
-		}
-		for _, n := range v.tmpRoots {
-			setExt(n)
-		}
 	}
 	m.deadCnt = 0
 }

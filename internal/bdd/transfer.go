@@ -1,10 +1,11 @@
 package bdd
 
-// This file implements compact DAG serialization, the transfer format that
-// lets predicates migrate between Managers. A multi-core synthesis exports a
-// predicate from the owning manager, imports it into a worker's private
-// manager, computes there, and ships the result back the same way — Managers
-// stay single-threaded while the workload fans out.
+// This file implements compact DAG serialization: Export writes a predicate
+// as a canonical byte buffer and Import rebuilds it in any Manager over the
+// same variables. Under a fixed variable order the buffer depends only on
+// the function, so it is the canonical form the determinism tests compare
+// (runs with and without collections or reordering must export identical
+// results), and it lets a predicate move between Managers.
 //
 // Format (all integers unsigned LEB128 varints):
 //

@@ -2,8 +2,6 @@ package bdd
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"math/rand"
 	"testing"
 )
@@ -151,42 +149,4 @@ func TestCheckNodeForeign(t *testing.T) {
 		}
 	}()
 	small.CheckNode(f) // f's index is far beyond small's node table
-}
-
-func TestPoolMapOrderAndError(t *testing.T) {
-	workers := []*Manager{NewSized(10), NewSized(10)}
-	for _, w := range workers {
-		w.NewVars(4)
-	}
-	pool := NewPool(workers)
-
-	results, err := pool.Map(context.Background(), 7, func(w *Manager, worker, task int) ([]byte, error) {
-		return []byte{byte(task)}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if len(r) != 1 || r[0] != byte(i) {
-			t.Fatalf("result %d landed at the wrong slot: %v", i, r)
-		}
-	}
-
-	boom := errors.New("boom")
-	if _, err := pool.Map(context.Background(), 5, func(w *Manager, worker, task int) ([]byte, error) {
-		if task == 3 {
-			return nil, boom
-		}
-		return nil, nil
-	}); !errors.Is(err, boom) {
-		t.Fatalf("Map swallowed the task error: %v", err)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := pool.Map(ctx, 5, func(w *Manager, worker, task int) ([]byte, error) {
-		return nil, nil
-	}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Map ignored a cancelled context: %v", err)
-	}
 }

@@ -47,7 +47,7 @@ type Job struct {
 	// demonstrations on success (one per fault action) in
 	// Result.Witnesses, and attaches failure traces to failed verifier
 	// checks (when Verify is also set). Extraction is deterministic, so the
-	// traces are byte-identical across worker counts.
+	// traces are byte-identical from run to run.
 	Witnesses int
 	// Progress, when non-nil, receives phase-start notifications as the run
 	// advances: PhaseCompile, then PhaseStep1/PhaseStep2 per outer repair
@@ -81,20 +81,18 @@ type Outcome struct {
 	CompileTime time.Duration
 	VerifyTime  time.Duration // zero unless Job.Verify
 	WitnessTime time.Duration // zero unless Job.Witnesses > 0
-	Workers     int           // effective engine worker count
-	Mode        string        // effective engine mode ("partitioned" or "shared")
 
-	// Node-lifetime counters of the run's owning manager (plus the peak
-	// across worker managers), captured after the job finishes.
+	// Node-lifetime counters of the run's manager, captured after the job
+	// finishes.
 	NodesLive   int64 // live BDD nodes when the job completed
-	PeakNodes   int64 // high-water mark of live nodes across all managers
-	GCRuns      int64 // collections performed by the owning manager
-	NodesFreed  int64 // nodes reclaimed by the owning manager
-	ReorderRuns int64 // sifting passes run by the owning manager
+	PeakNodes   int64 // high-water mark of live nodes
+	GCRuns      int64 // collections performed
+	NodesFreed  int64 // nodes reclaimed
+	ReorderRuns int64 // sifting passes run
 
-	// Fixpoint is the unified reachability scheduler's cumulative work
-	// counters (rounds, frontier images, frontier sizes, fork/join
-	// spawn/steal counts), captured after the job finishes.
+	// Fixpoint is the reachability scheduler's cumulative work counters
+	// (rounds, frontier images, frontier sizes), captured after the job
+	// finishes.
 	Fixpoint program.FixpointStats
 }
 
@@ -102,9 +100,8 @@ type Outcome struct {
 // cancellation aborts the repair algorithms at their next fixpoint-iteration
 // boundary with an error wrapping ctx.Err().
 //
-// One parallel engine (sized by Job.Options.Workers; 0 selects GOMAXPROCS)
-// is built per run and shared between the synthesis and the verifier, so the
-// worker clones are compiled once.
+// One engine is built per run and shared between the synthesis and the
+// verifier, so the verifier's fixpoint counters add to the synthesis's.
 func Run(ctx context.Context, job Job) (out *Outcome, err error) {
 	progress := func(phase string) {
 		if job.Progress != nil {
@@ -126,11 +123,10 @@ func Run(ctx context.Context, job Job) (out *Outcome, err error) {
 	}
 	job.Options.ApplyEngine(eng)
 	// A blown budget surfaces as a *bdd.BudgetError panic at a collection
-	// safe point (or pre-converted to an error by the worker pool); convert
-	// it to a clean failure here, the run boundary. The recovery is
-	// unconditional: budgets can be armed below this frame (a manager
-	// carried over from an earlier bounded run), so gating it on this job's
-	// own NodeBudget would let those panics escape.
+	// safe point; convert it to a clean failure here, the run boundary. The
+	// recovery is unconditional: budgets can be armed below this frame (a
+	// manager carried over from an earlier bounded run), so gating it on
+	// this job's own NodeBudget would let those panics escape.
 	defer func() {
 		if r := recover(); r != nil {
 			be, ok := r.(*bdd.BudgetError)
@@ -140,12 +136,12 @@ func Run(ctx context.Context, job Job) (out *Outcome, err error) {
 			out, err = nil, fmt.Errorf("core: %w", be)
 		}
 	}()
-	out = &Outcome{Compiled: compiled, CompileTime: time.Since(t0), Workers: eng.Workers(), Mode: string(eng.Mode())}
+	out = &Outcome{Compiled: compiled, CompileTime: time.Since(t0)}
 	defer func() {
 		if out != nil {
 			st := compiled.Space.M.Stats()
 			out.NodesLive = st.NodesLive
-			out.PeakNodes = eng.PeakLive()
+			out.PeakNodes = st.PeakLive
 			out.GCRuns = st.GCRuns
 			out.NodesFreed = st.NodesFreed
 			out.ReorderRuns = st.ReorderRuns

@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
+	"repro/internal/bdd"
 	"repro/internal/repair"
 )
 
@@ -81,5 +83,49 @@ func TestCaseStudyValidation(t *testing.T) {
 	}
 	if len(CaseStudyNames()) != 5 {
 		t.Error("expected five case studies")
+	}
+}
+
+// TestRunBudget checks that a node budget blown mid-synthesis surfaces as a
+// clean *bdd.BudgetError from Run: the budget check panics at a collection
+// safe point and must come back as an error at the run boundary.
+func TestRunBudget(t *testing.T) {
+	def, err := CaseStudy("sc", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := repair.DefaultOptions()
+	opts.NodeBudget = 100 // far below the compiled model's working set
+	_, err = Run(context.Background(), Job{Def: def, Algorithm: LazyRepair, Options: opts})
+	var be *bdd.BudgetError
+	if !errors.As(err, &be) {
+		t.Fatalf("Run with blown budget returned %v, want *bdd.BudgetError", err)
+	}
+}
+
+// TestRunRejectsEngineSelectors checks that the deprecated engine selectors
+// accept only their serial values: any other mode or worker count fails the
+// run instead of silently running serially.
+func TestRunRejectsEngineSelectors(t *testing.T) {
+	def, err := CaseStudy("ba", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sel := range []struct {
+		mode    string
+		workers int
+		ok      bool
+	}{
+		{"", 0, true}, {"", 1, true},
+		{"", 2, false}, {"", -1, false}, {"shared", 0, false}, {"partitioned", 1, false},
+	} {
+		opts := repair.DefaultOptions()
+		opts.Mode, opts.Workers = sel.mode, sel.workers
+		for _, alg := range []Algorithm{LazyRepair, CautiousRepair} {
+			_, err := Run(context.Background(), Job{Def: def, Algorithm: alg, Options: opts})
+			if (err == nil) != sel.ok {
+				t.Errorf("%s mode=%q workers=%d: err = %v, want ok=%t", alg, sel.mode, sel.workers, err, sel.ok)
+			}
+		}
 	}
 }

@@ -94,7 +94,7 @@ func verifyBoth(t *testing.T, c *program.Compiled, res *repair.Result) [2]*verif
 	ctx := context.Background()
 	var reports [2]*verify.Report
 	for i, backend := range []verify.Backend{verify.BackendBDD, verify.BackendSAT} {
-		rep, err := verify.ResultBackendEngine(ctx, program.SerialEngine(c), res, backend, true)
+		rep, err := verify.ResultBackendEngine(ctx, program.NewEngine(c), res, backend, true)
 		if err != nil {
 			t.Fatalf("backend %s: %v", backend, err)
 		}

@@ -21,8 +21,6 @@ type RunReport struct {
 	Algorithm   string `json:"algorithm"`
 	Pure        bool   `json:"pure,omitempty"`         // reachability heuristic disabled
 	DeferCycles bool   `json:"defer_cycles,omitempty"` // cycle-breaking after Step 2
-	Workers     int    `json:"workers,omitempty"`      // effective engine worker count
-	EngineMode  string `json:"engine_mode,omitempty"`  // "partitioned" or "shared"
 	// Backend is the verification backend ("bdd" or "sat"); empty when
 	// verification was not requested. Kept by Normalized: the verdict is
 	// backend-independent, but which engine produced it is part of the
@@ -48,14 +46,12 @@ type RunReport struct {
 
 	// Fixpoint-scheduler work counters (internal/program's frontier-chained
 	// scheduler): rounds and frontier images across every reachability
-	// fixpoint of the run, the peak and final frontier sizes in BDD nodes,
-	// and the shared engine's fork/join spawn/steal counts.
+	// fixpoint of the run, and the peak and final frontier sizes in BDD
+	// nodes.
 	FixRounds        int64 `json:"fix_rounds,omitempty"`
 	FixImages        int64 `json:"fix_images,omitempty"`
 	FixFrontierPeak  int64 `json:"fix_frontier_peak,omitempty"`
 	FixFrontierFinal int64 `json:"fix_frontier_final,omitempty"`
-	FixOpSpawns      int64 `json:"fix_op_spawns,omitempty"`
-	FixOpSteals      int64 `json:"fix_op_steals,omitempty"`
 
 	CompileNS int64 `json:"compile_ns"`
 	Step1NS   int64 `json:"step1_ns"`
@@ -87,8 +83,8 @@ type RunReport struct {
 	// count of the kept transitions leaving the repaired invariant,
 	// CostRemoved the weighted count of original transitions the repair
 	// deleted. Kept by Normalized: both are functions of the synthesized
-	// program and the weight layer, identical across worker counts and
-	// engine modes.
+	// program and the weight layer, identical under any collection or
+	// reordering cadence.
 	Costed       bool    `json:"costed,omitempty"`
 	MinCost      bool    `json:"min_cost,omitempty"`
 	AchievedCost float64 `json:"achieved_cost,omitempty"`
@@ -111,8 +107,6 @@ func NewRunReport(job Job, out *Outcome, caseName string, n int) RunReport {
 		Algorithm:   string(alg),
 		Pure:        !job.Options.ReachabilityHeuristic,
 		DeferCycles: job.Options.DeferCycleBreaking,
-		Workers:     out.Workers,
-		EngineMode:  out.Mode,
 
 		StateBits:       s.TotalBits(),
 		States:          s.CountStates(s.ValidCur()),
@@ -132,8 +126,6 @@ func NewRunReport(job Job, out *Outcome, caseName string, n int) RunReport {
 		FixImages:        out.Fixpoint.Images,
 		FixFrontierPeak:  out.Fixpoint.PeakFrontier,
 		FixFrontierFinal: out.Fixpoint.FinalFrontier,
-		FixOpSpawns:      out.Fixpoint.OpSpawns,
-		FixOpSteals:      out.Fixpoint.OpSteals,
 
 		CompileNS: out.CompileTime.Nanoseconds(),
 		Step1NS:   res.Stats.Step1.Nanoseconds(),
@@ -164,34 +156,30 @@ func NewRunReport(job Job, out *Outcome, caseName string, n int) RunReport {
 }
 
 // Normalized strips the fields that legitimately vary between runs of the
-// same synthesis problem — wall-clock times, the worker count, and the BDD
-// node count (the owning manager's node table evolves differently when
-// results arrive as imported buffers instead of locally computed
-// intermediates). Everything left is a function of the synthesized program
-// alone, so two reports from the same problem must be identical after
-// normalization regardless of Workers — the determinism contract the
-// parallel engine is tested against.
+// same synthesis problem — wall-clock times and the BDD node counts (the
+// node table evolves differently under a different collection or reordering
+// cadence). Everything left is a function of the synthesized program alone,
+// so two reports from the same problem must be identical after
+// normalization — the contract the golden-result test pins.
 func (r RunReport) Normalized() RunReport {
-	r.Workers = 0
-	r.EngineMode = "" // like Workers: how the result was computed, not what it is
 	r.BDDNodes = 0
-	// Node-lifetime counters vary with worker count, GC cadence, and
-	// reordering cadence exactly like BDDNodes does.
+	// Node-lifetime counters vary with GC and reordering cadence exactly
+	// like BDDNodes does.
 	r.BDDNodesLive, r.BDDPeakNodes, r.BDDGCRuns, r.BDDNodesFreed = 0, 0, 0, 0
 	r.BDDReorderRuns = 0
-	// Scheduler work counters: rounds, images, and frontier sizes depend on
-	// the worker count (blocks per round) and spawn/steal counts on the
-	// steal schedule — how the fixpoint was computed, not what it is.
+	// Scheduler work counters: frontier sizes are node counts and depend on
+	// the variable order, so they move with reordering cadence; rounds and
+	// images are stripped with them — how the fixpoint was computed, not
+	// what it is.
 	r.FixRounds, r.FixImages, r.FixFrontierPeak, r.FixFrontierFinal = 0, 0, 0, 0
-	r.FixOpSpawns, r.FixOpSteals = 0, 0
 	r.CompileNS, r.Step1NS, r.Step2NS, r.TotalNS, r.VerifyNS = 0, 0, 0, 0, 0
 	r.WitnessNS = 0
 	// Solver work counters are performance telemetry, like the BDD node
 	// counters above; the verdict they accompany is what must be identical.
 	r.SAT = nil
 	// Witnesses stay: extraction is deterministic, so they are part of the
-	// cross-worker-count identity the determinism tests assert. The cost
-	// fields stay for the same reason: exact weighted counts over the
-	// synthesized relation, not telemetry.
+	// identity the golden-result test asserts. The cost fields stay for the
+	// same reason: exact weighted counts over the synthesized relation, not
+	// telemetry.
 	return r
 }

@@ -1,12 +1,8 @@
 package program
 
-// This file is the single reachability-fixpoint implementation shared by all
-// three engine configurations (serial, partitioned, shared-table) — the
-// frontier-chained scheduler (see DESIGN.md §19). The previous generation of
-// the engine had three divergent loops (a serial chain delegated to
-// internal/symbolic, and one round-based loop per parallel mode that imaged
-// the whole reached set every round — catastrophically slow on deep-diameter
-// models like sc(12)); they are all replaced by Engine.fixpoint below.
+// This file is the single reachability-fixpoint implementation behind
+// ReachableParts and BackwardReachableParts — the frontier-chained scheduler
+// (see DESIGN.md §19).
 //
 // Algorithm. Every partition i carries a snapshot seen[i] ⊆ reached of the
 // states its image has already been applied to. Its frontier is
@@ -18,36 +14,22 @@ package program
 // When every frontier is empty, reached = seen[i] for all i, so
 // Image_i(reached) ⊆ reached for every partition: reached is the (unique)
 // least fixpoint, independent of visit order — chaotic iteration of monotone
-// operators on a finite lattice.
-//
-// Serial: one block holding all partitions, chained to convergence
-// (chainBlock). Parallel: rounds across workers, chaining within — the
-// pending partitions (non-empty frontier) are dealt contiguously into one
-// block per worker; each worker runs the block-local chained fixpoint from
-// local = reached, returns its delta L_b ∖ reached; the owner merges deltas
-// in block order (canonical BDDs make the merged set schedule-independent)
-// and advances seen[i] := reached ∪ delta_b for i in block b — sound because
-// the block converged locally: Image_i(reached ∪ delta_b) ⊆ reached ∪
-// delta_b ⊆ reached'. On a process chain, contiguous blocks keep consecutive
-// processes together, so depth is covered by in-block chaining at the cost
-// of O(workers) rounds instead of O(diameter).
+// operators on a finite lattice. One block holding all partitions is
+// chained to convergence (chainBlock).
 
 import (
 	"context"
-	"runtime"
 
 	"repro/internal/bdd"
 	"repro/internal/symbolic"
 )
 
-// FixpointStats counts the work of the unified reachability scheduler across
-// an engine's lifetime. The counters are observability (RunReport fix_*
-// fields, /metrics.json); they are normalized away from reports like the
-// other engine counters. Rounds/Images/frontier sizes are deterministic for
-// a fixed worker count; OpSpawns/OpSteals depend on the steal schedule.
+// FixpointStats counts the work of the reachability scheduler across an
+// engine's lifetime. The counters are observability (RunReport fix_* fields,
+// /metrics.json); they are normalized away from reports like the other
+// engine counters. All of them are deterministic.
 type FixpointStats struct {
-	// Rounds is the number of scheduler rounds: 1 per serial fixpoint,
-	// one per cross-worker barrier in parallel mode.
+	// Rounds is the number of fixpoints run (one scheduler round each).
 	Rounds int64
 	// Images is the number of image/preimage applications (frontier images
 	// only — saturated partitions fire none).
@@ -57,43 +39,16 @@ type FixpointStats struct {
 	// convergence.
 	PeakFrontier  int64
 	FinalFrontier int64
-	// OpSpawns/OpSteals are the shared engine's fork/join apply counters:
-	// high branches spawned as stealable opTasks, and how many were executed
-	// by a worker other than the spawner (bdd.Shared.OpStats).
-	OpSpawns int64
-	OpSteals int64
 }
 
-// FixpointStats returns the scheduler's cumulative work counters, including
-// the shared session's fork/join counters when running in shared mode.
-func (e *Engine) FixpointStats() FixpointStats {
-	fs := e.fix
-	if e.shared != nil {
-		fs.OpSpawns, fs.OpSteals = e.shared.OpStats()
-	}
-	return fs
-}
+// FixpointStats returns the scheduler's cumulative work counters.
+func (e *Engine) FixpointStats() FixpointStats { return e.fix }
 
-// chainStats accumulates one block's scheduler work; merged into Engine.fix
-// in deterministic block order.
+// chainStats accumulates one block's scheduler work; merged into Engine.fix.
 type chainStats struct {
 	images int64
 	peak   int64
 	final  int64
-}
-
-// fanoutMinFrontier is the default cost-aware fan-out threshold: a parallel
-// round whose pending frontiers total fewer BDD nodes than this runs as a
-// single owner-side block instead of fanning out (see Engine.fixpoint).
-const fanoutMinFrontier = 8192
-
-// fanoutThreshold returns the engine's fan-out threshold (tests lower it to
-// force tiny models through the parallel paths).
-func (e *Engine) fanoutThreshold() int {
-	if e.fanoutMin > 0 {
-		return e.fanoutMin
-	}
-	return fanoutMinFrontier
 }
 
 // image applies one frontier image (or preimage) through a partition.
@@ -117,9 +72,8 @@ func chainBlock(ctx context.Context, sp *symbolic.Space, local *bdd.Rooted,
 	for _, p := range parts {
 		sc.Keep(p)
 	}
-	// Block-local seen snapshots: everything except the handed-in frontier
-	// has already been imaged (by this block in an earlier round, or it was
-	// merged from another block and granted to this one's frontier).
+	// Seen snapshots: everything except the handed-in frontier has already
+	// been imaged.
 	seen := make([]*bdd.Rooted, len(parts))
 	for k := range parts {
 		sc.Keep(fronts[k])
@@ -163,9 +117,9 @@ func chainBlock(ctx context.Context, sp *symbolic.Space, local *bdd.Rooted,
 }
 
 // fixpoint is the frontier-chained reachability scheduler — the one fixpoint
-// loop behind ReachableParts and BackwardReachableParts on every engine
-// configuration. init is conjoined with ValidCur; the result is the least
-// fixpoint of the partitioned (pre)image closure.
+// loop behind ReachableParts and BackwardReachableParts. init is conjoined
+// with ValidCur; the result is the least fixpoint of the partitioned
+// (pre)image closure.
 func (e *Engine) fixpoint(ctx context.Context, init bdd.Node, parts []bdd.Node, backward bool) (bdd.Node, error) {
 	m := e.C.Space.M
 	sc := m.Protect()
@@ -174,134 +128,16 @@ func (e *Engine) fixpoint(ctx context.Context, init bdd.Node, parts []bdd.Node, 
 		sc.Keep(p)
 	}
 	reached := sc.Slot(m.And(init, e.C.Space.ValidCur()))
-
-	if e.Workers() <= 1 {
-		// Serial: one block, all partitions, full initial frontiers.
-		fronts := make([]bdd.Node, len(parts))
-		for k := range fronts {
-			fronts[k] = reached.Node()
-		}
-		var st chainStats
-		err := chainBlock(ctx, e.C.Space, reached, parts, fronts, backward, &st)
-		e.fix.Rounds++
-		e.foldChainStats(st)
-		return reached.Node(), err // sound but incomplete on cancellation
+	// One block, all partitions, full initial frontiers.
+	fronts := make([]bdd.Node, len(parts))
+	for k := range fronts {
+		fronts[k] = reached.Node()
 	}
-
-	// Parallel: rounds across workers, chained blocks within.
-	pc := e.newPoolFixCache()
-	defer pc.release(e)
-	seen := make([]*bdd.Rooted, len(parts))
-	for i := range parts {
-		seen[i] = sc.Slot(bdd.False)
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return bdd.False, err
-		}
-		rsc := m.Protect()
-		// Pending scan: partitions whose frontier is non-empty. Saturated
-		// partitions are skipped entirely this round.
-		var pidx []int
-		var pfronts []bdd.Node
-		work := 0
-		for i, p := range parts {
-			if p == bdd.False {
-				continue
-			}
-			front := m.Diff(reached.Node(), seen[i].Node())
-			if front == bdd.False {
-				continue
-			}
-			pidx = append(pidx, i)
-			pfronts = append(pfronts, rsc.Keep(front))
-			work += m.NodeCount(front)
-		}
-		if len(pidx) == 0 {
-			rsc.Release()
-			return reached.Node(), nil
-		}
-		e.fix.Rounds++
-		// Cost-aware fan-out: splitting the pending partitions across blocks
-		// duplicates frontier growth (each block's seen snapshots lag the
-		// others by a round), which only pays off when the round carries real
-		// work. Rounds below the threshold — the long sequential tail of
-		// chain-structured models — run as one owner-side block instead,
-		// which also keeps them on the owner's large operation cache.
-		if len(pidx) < 2 || work < e.fanoutThreshold() {
-			bparts := make([]bdd.Node, len(pidx))
-			for k, i := range pidx {
-				bparts[k] = parts[i]
-			}
-			var st chainStats
-			err := chainBlock(ctx, e.C.Space, reached, bparts, pfronts, backward, &st)
-			e.foldChainStats(st)
-			if err != nil {
-				rsc.Release()
-				return reached.Node(), err
-			}
-			// The owner block converged on every pending partition; their
-			// snapshots advance to the new reached set.
-			for _, i := range pidx {
-				seen[i].Set(reached.Node())
-			}
-			rsc.Release()
-			continue
-		}
-		// Block count: one per worker, but never wider than the machine —
-		// splitting past the physical core count duplicates frontier growth
-		// with nothing to run it on. Floor 2 keeps the parallel machinery
-		// (regions, transfer, fork/join) exercised whenever workers > 1; the
-		// result is the same least fixpoint at any width.
-		nb := e.Workers()
-		if g := runtime.GOMAXPROCS(0); g < nb {
-			nb = g
-			if nb < 2 {
-				nb = 2
-			}
-		}
-		if len(pidx) < nb {
-			nb = len(pidx)
-		}
-		// Contiguous blocks preserve partition order: on chain-structured
-		// models consecutive processes stay in one block, so the in-block
-		// chain covers depth without cross-worker rounds.
-		blocks := make([][2]int, nb)
-		for b := 0; b < nb; b++ {
-			blocks[b] = [2]int{b * len(pidx) / nb, (b + 1) * len(pidx) / nb}
-		}
-		stats := make([]chainStats, nb)
-		var deltas []bdd.Node
-		var err error
-		if e.shared != nil {
-			deltas, err = e.runBlocksShared(ctx, reached.Node(), parts, pidx, pfronts, blocks, backward, stats)
-		} else {
-			deltas, err = e.runBlocksPool(ctx, reached.Node(), parts, pidx, pfronts, blocks, backward, stats, pc)
-		}
-		if err != nil {
-			rsc.Release()
-			return bdd.False, err
-		}
-		// Merge the per-block deltas in block order (canonical ROBDDs make
-		// the merged set identical for any schedule and worker count), then
-		// advance the seen snapshots: block b converged locally on
-		// base ∪ delta_b, so exactly that set is imaged for its partitions.
-		for _, d := range deltas {
-			rsc.Keep(d)
-		}
-		base := rsc.Keep(reached.Node())
-		for b, d := range deltas {
-			e.foldChainStats(stats[b])
-			if d != bdd.False {
-				reached.Set(m.Or(reached.Node(), d))
-			}
-			lb := rsc.Keep(m.Or(base, d))
-			for k := blocks[b][0]; k < blocks[b][1]; k++ {
-				seen[pidx[k]].Set(lb)
-			}
-		}
-		rsc.Release()
-	}
+	var st chainStats
+	err := chainBlock(ctx, e.C.Space, reached, parts, fronts, backward, &st)
+	e.fix.Rounds++
+	e.foldChainStats(st)
+	return reached.Node(), err // sound but incomplete on cancellation
 }
 
 // foldChainStats merges one block's counters into the engine totals.
@@ -313,130 +149,6 @@ func (e *Engine) foldChainStats(st chainStats) {
 	if st.final > 0 {
 		e.fix.FinalFrontier = st.final
 	}
-}
-
-// runBlocksShared runs one scheduler round's blocks across the shared
-// session's views: block b chains its partitions from local = reached inside
-// the parallel region (fork/join apply enabled underneath) and returns its
-// delta, an owner node adopted at the End barrier.
-func (e *Engine) runBlocksShared(ctx context.Context, reached bdd.Node, parts []bdd.Node,
-	pidx []int, pfronts []bdd.Node, blocks [][2]int, backward bool, stats []chainStats) ([]bdd.Node, error) {
-	placeholders := make([]bdd.Node, len(blocks))
-	return e.mapNodesShared(ctx, reached, placeholders, func(cv *Compiled, sh, _ bdd.Node, b int) (bdd.Node, error) {
-		stats[b] = chainStats{} // aborted attempts re-enter; count the run that lands
-		vm := cv.Space.M
-		vsc := vm.Protect()
-		defer vsc.Release()
-		local := vsc.Slot(sh)
-		lo, hi := blocks[b][0], blocks[b][1]
-		bparts := make([]bdd.Node, hi-lo)
-		bfronts := make([]bdd.Node, hi-lo)
-		for k := lo; k < hi; k++ {
-			bparts[k-lo] = parts[pidx[k]]
-			bfronts[k-lo] = pfronts[k]
-		}
-		if err := chainBlock(ctx, cv.Space, local, bparts, bfronts, backward, &stats[b]); err != nil {
-			return bdd.False, err
-		}
-		return vm.Diff(local.Node(), sh), nil
-	})
-}
-
-// poolFixCache holds the partitioned engine's per-fixpoint transfer caches:
-// partition predicates are static, so each worker imports a partition at
-// most once per fixpoint (rooted in its manager until release).
-type poolFixCache struct {
-	partBufs map[int][]byte
-	wParts   []map[int]bdd.Node
-}
-
-func (e *Engine) newPoolFixCache() *poolFixCache {
-	pc := &poolFixCache{partBufs: make(map[int][]byte)}
-	pc.wParts = make([]map[int]bdd.Node, len(e.workers))
-	for i := range pc.wParts {
-		pc.wParts[i] = make(map[int]bdd.Node)
-	}
-	return pc
-}
-
-func (pc *poolFixCache) release(e *Engine) {
-	for w, imports := range pc.wParts {
-		wm := e.workers[w].Space.M
-		for _, n := range imports {
-			wm.Deref(n)
-		}
-	}
-}
-
-// runBlocksPool is runBlocksShared for the share-nothing engine: the reached
-// set and the block frontiers are exported per round, partitions at most
-// once per fixpoint (pc), each worker chains its blocks privately, and the
-// owner imports the canonical delta buffers in block order.
-func (e *Engine) runBlocksPool(ctx context.Context, reached bdd.Node, parts []bdd.Node,
-	pidx []int, pfronts []bdd.Node, blocks [][2]int, backward bool, stats []chainStats,
-	pc *poolFixCache) ([]bdd.Node, error) {
-	m := e.C.Space.M
-	// Owner-side merges between rounds can trigger an owner reorder;
-	// re-align the idle workers before each fan-out. (A reorder invalidates
-	// nothing in pc: transfer buffers carry their own order, and worker-side
-	// imports are nodes, which survive their manager's reordering.)
-	e.syncOrders()
-	setBuf := m.Export(reached)
-	frontBufs := make([][]byte, len(pfronts))
-	for k, f := range pfronts {
-		frontBufs[k] = m.Export(f)
-	}
-	for _, k := range pidx {
-		if _, ok := pc.partBufs[k]; !ok {
-			pc.partBufs[k] = m.Export(parts[k])
-		}
-	}
-	// The reached-set import is shared by every block a worker runs this
-	// round; rooted until the pool drains.
-	wSet := make([]bdd.Node, len(e.workers))
-	wHaveS := make([]bool, len(e.workers))
-	bufs, err := e.pool.Map(ctx, len(blocks), func(w *bdd.Manager, worker, b int) ([]byte, error) {
-		wc := e.workers[worker]
-		if !wHaveS[worker] {
-			wSet[worker] = w.Ref(bdd.Import(w, setBuf))
-			wHaveS[worker] = true
-		}
-		stats[b] = chainStats{}
-		wsc := w.Protect()
-		defer wsc.Release()
-		lo, hi := blocks[b][0], blocks[b][1]
-		bparts := make([]bdd.Node, hi-lo)
-		bfronts := make([]bdd.Node, hi-lo)
-		for k := lo; k < hi; k++ {
-			i := pidx[k]
-			if _, ok := pc.wParts[worker][i]; !ok {
-				pc.wParts[worker][i] = w.Ref(bdd.Import(w, pc.partBufs[i]))
-			}
-			bparts[k-lo] = pc.wParts[worker][i]
-			bfronts[k-lo] = wsc.Keep(bdd.Import(w, frontBufs[k]))
-		}
-		local := wsc.Slot(wSet[worker])
-		if err := chainBlock(ctx, wc.Space, local, bparts, bfronts, backward, &stats[b]); err != nil {
-			return nil, err
-		}
-		return w.Export(w.Diff(local.Node(), wSet[worker])), nil
-	})
-	for i, have := range wHaveS {
-		if have {
-			e.workers[i].Space.M.Deref(wSet[i])
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	// Later imports can trigger owner-side collections; root as we go.
-	sc := m.Protect()
-	defer sc.Release()
-	out := make([]bdd.Node, len(bufs))
-	for i, b := range bufs {
-		out[i] = sc.Keep(bdd.Import(m, b))
-	}
-	return out, nil
 }
 
 // CyclicCore returns the greatest fixpoint of states in region with a

@@ -1,9 +1,8 @@
 package program
 
-// Property test for the unified fixpoint scheduler: on a corpus of random
-// small models, the frontier-chained scheduler — serial, partitioned, and
-// shared, with the fan-out threshold forced down so even tiny rounds take
-// the parallel paths — must reach exactly the fixpoint the full-set oracle
+// Property test for the fixpoint scheduler: on a corpus of random small
+// models, the frontier-chained scheduler must reach exactly the fixpoint the
+// full-set oracle
 // (symbolic.ReachablePartsCtx / BackwardReachablePartsCtx) computes, forward
 // and backward. On failure the model shrinks greedily (dropping one action
 // at a time while the mismatch persists) before reporting.
@@ -83,8 +82,8 @@ func genDef(r *rand.Rand, seed int) *Def {
 }
 
 // checkDef compares the scheduler against the full-set oracle on one model,
-// in both directions and on all three engine configurations. It returns a
-// description of the first mismatch, or "" when the model passes.
+// in both directions. It returns a description of the first mismatch, or ""
+// when the model passes.
 func checkDef(t *testing.T, d *Def, seed int64) string {
 	c, err := d.Compile()
 	if err != nil {
@@ -104,34 +103,20 @@ func checkDef(t *testing.T, d *Def, seed int64) string {
 	wantBwd := c.Space.BackwardReachableParts(target, parts)
 	m.Ref(wantBwd)
 
-	engines := []struct {
-		name  string
-		build func() (*Engine, error)
-	}{
-		{"serial", func() (*Engine, error) { return SerialEngine(c), nil }},
-		{"partitioned2", func() (*Engine, error) { return NewEngine(c, 2) }},
-		{"shared2", func() (*Engine, error) { return NewEngineMode(c, ModeShared, 2) }},
+	e := NewEngine(c)
+	gotFwd, err := e.ReachableParts(context.Background(), init, parts)
+	if err != nil {
+		return fmt.Sprintf("forward: %v", err)
 	}
-	for _, ec := range engines {
-		e, err := ec.build()
-		if err != nil {
-			return fmt.Sprintf("%s: engine: %v", ec.name, err)
-		}
-		e.fanoutMin = 1 // force even tiny rounds through the parallel paths
-		gotFwd, err := e.ReachableParts(context.Background(), init, parts)
-		if err != nil {
-			return fmt.Sprintf("%s forward: %v", ec.name, err)
-		}
-		if gotFwd != wantFwd {
-			return fmt.Sprintf("%s forward fixpoint differs from oracle (node %d vs %d)", ec.name, gotFwd, wantFwd)
-		}
-		gotBwd, err := e.BackwardReachableParts(context.Background(), target, parts)
-		if err != nil {
-			return fmt.Sprintf("%s backward: %v", ec.name, err)
-		}
-		if gotBwd != wantBwd {
-			return fmt.Sprintf("%s backward fixpoint differs from oracle (node %d vs %d)", ec.name, gotBwd, wantBwd)
-		}
+	if gotFwd != wantFwd {
+		return fmt.Sprintf("forward fixpoint differs from oracle (node %d vs %d)", gotFwd, wantFwd)
+	}
+	gotBwd, err := e.BackwardReachableParts(context.Background(), target, parts)
+	if err != nil {
+		return fmt.Sprintf("backward: %v", err)
+	}
+	if gotBwd != wantBwd {
+		return fmt.Sprintf("backward fixpoint differs from oracle (node %d vs %d)", gotBwd, wantBwd)
 	}
 	return ""
 }

@@ -39,12 +39,11 @@ type Masking struct {
 // symbolic reachability fixpoints, so cancellation aborts the step between
 // symbolic operations.
 func AddMasking(ctx context.Context, c *program.Compiled, invariant, badTrans bdd.Node, opts Options) (*Masking, error) {
-	return AddMaskingEngine(ctx, program.SerialEngine(c), invariant, badTrans, opts)
+	return AddMaskingEngine(ctx, program.NewEngine(c), invariant, badTrans, opts)
 }
 
 // AddMaskingEngine is AddMasking running its reachability fixpoints on the
-// given engine, fanning the per-partition images across the engine's worker
-// managers when it has more than one.
+// given engine.
 func AddMaskingEngine(ctx context.Context, e *program.Engine, invariant, badTrans bdd.Node, opts Options) (*Masking, error) {
 	c := e.C
 	m := c.Space.M

@@ -27,16 +27,15 @@ import (
 //     if every member strictly decreases the distance to the invariant —
 //     keeping the span cycle-free without a separate cycle-resolution phase.
 func Cautious(ctx context.Context, c *program.Compiled, opts Options) (*Result, error) {
-	eng, err := program.NewEngine(c, opts.Workers)
+	eng, err := program.NewEngineMode(c, program.Mode(opts.Mode), opts.Workers)
 	if err != nil {
 		return nil, err
 	}
 	return CautiousEngine(ctx, eng, opts)
 }
 
-// CautiousEngine is Cautious running on a caller-supplied engine: the
-// reachability fixpoints and the per-process group removals of Phase 1 fan
-// out across the engine's workers.
+// CautiousEngine is Cautious running on a caller-supplied engine, so the
+// engine can be shared with the verifier (see internal/core.Run).
 func CautiousEngine(ctx context.Context, eng *program.Engine, opts Options) (*Result, error) {
 	opts.ApplyEngine(eng)
 	c := eng.C
@@ -98,7 +97,7 @@ func CautiousEngine(ctx context.Context, eng *program.Engine, opts Options) (*Re
 		for {
 			// The harmful set is invariant across one removal round, and
 			// each process's removal touches only its own delta, so the
-			// per-process group closures fan out across the engine.
+			// per-process group closures are independent tasks.
 			harmful := m.OrN(
 				mtHard,
 				banned.Node(),

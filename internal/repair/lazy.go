@@ -24,7 +24,7 @@ import (
 // fixpoints), so a deadline or cancellation aborts a hung synthesis between
 // symbolic steps with an error wrapping ctx.Err().
 func Lazy(ctx context.Context, c *program.Compiled, opts Options) (*Result, error) {
-	eng, err := program.NewEngine(c, opts.Workers)
+	eng, err := program.NewEngineMode(c, program.Mode(opts.Mode), opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -32,7 +32,7 @@ func Lazy(ctx context.Context, c *program.Compiled, opts Options) (*Result, erro
 }
 
 // LazyEngine is Lazy running on a caller-supplied engine, so the engine's
-// worker clones can be shared with the verifier (see internal/core.Run).
+// engine can be shared with the verifier (see internal/core.Run).
 func LazyEngine(ctx context.Context, eng *program.Engine, opts Options) (*Result, error) {
 	opts.ApplyEngine(eng)
 	c := eng.C
@@ -49,8 +49,8 @@ func LazyEngine(ctx context.Context, eng *program.Engine, opts Options) (*Result
 	}
 	stats.ReachableStates = s.CountStates(reach)
 
-	// The weight ADD of a costed run, built once on the primary manager
-	// (outside any parallel region — see cost.go). nil slot means uncosted.
+	// The weight ADD of a costed run, built once (see cost.go). nil slot
+	// means uncosted.
 	var weight *bdd.Rooted
 	if opts.Costs != nil {
 		weight = sc.Slot(buildWeight(c, opts.Costs))
@@ -92,10 +92,10 @@ func LazyEngine(ctx context.Context, eng *program.Engine, opts Options) (*Result
 
 		opts.phase("step2")
 		t1 := time.Now()
-		parts, err := RealizePartsEngine(ctx, eng, mask.Trans, mask.FaultSpan)
-		if err != nil {
-			return nil, engineErr(ctx, err)
+		if err := cancelled(ctx); err != nil {
+			return nil, err
 		}
+		parts := RealizeParts(c, mask.Trans, mask.FaultSpan)
 		for j, p := range parts {
 			partSlots[j].Set(p)
 		}

@@ -1,8 +1,6 @@
 package repair
 
 import (
-	"context"
-
 	"repro/internal/bdd"
 	"repro/internal/program"
 )
@@ -53,25 +51,4 @@ func RealizeParts(c *program.Compiled, delta, span bdd.Node) []bdd.Node {
 		parts[j] = sc.Keep(p.MaxRealizableSubset(d))
 	}
 	return parts
-}
-
-// RealizePartsEngine is RealizeParts with the per-process group-closure
-// computations — the expensive part of Step 2 — fanned out across the
-// engine's workers. Each process's maximal realizable subset depends only on
-// the shared candidate relation, so the tasks are independent and the merged
-// result is identical to the serial one.
-func RealizePartsEngine(ctx context.Context, e *program.Engine, delta, span bdd.Node) ([]bdd.Node, error) {
-	c := e.C
-	if e.Workers() <= 1 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return RealizeParts(c, delta, span), nil
-	}
-	m := c.Space.M
-	free := m.And(m.Not(span), c.Space.ValidTrans())
-	d := m.Or(m.And(delta, c.Space.ValidTrans()), free)
-	return e.MapProcs(ctx, d, func(wc *program.Compiled, j int, shared bdd.Node) bdd.Node {
-		return wc.Procs[j].MaxRealizableSubset(shared)
-	})
 }

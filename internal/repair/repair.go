@@ -69,9 +69,9 @@ func cancelled(ctx context.Context) error {
 	return nil
 }
 
-// engineErr classifies an error returned by a parallel-engine call: a
-// context cancellation is wrapped like cancelled(ctx); anything else (e.g. a
-// *bdd.BudgetError converted by the worker pool) propagates unchanged.
+// engineErr classifies an error returned by an engine call: a context
+// cancellation is wrapped like cancelled(ctx); anything else propagates
+// unchanged.
 func engineErr(ctx context.Context, err error) error {
 	if cerr := cancelled(ctx); cerr != nil {
 		return cerr
@@ -96,20 +96,15 @@ type Options struct {
 	DeferCycleBreaking bool
 	// MaxOuterIterations bounds Algorithm 1's repeat loop.
 	MaxOuterIterations int
-	// Mode selects the parallel engine: "partitioned" (or empty, the
-	// default) fans work out across private worker managers with canonical
-	// DAG transfer; "shared" runs all workers against one shared node table
-	// with per-worker caches (program.ModeShared). Both modes synthesize
-	// the same program for any worker count.
+	// Mode selected one of the removed multi-worker engines. Only the empty
+	// string is accepted; any other value fails the run.
+	//
+	// Deprecated: the engine is serial.
 	Mode string
-	// Workers is the number of BDD workers used to fan out the per-process
-	// symbolic work inside one synthesis (image unions, group closures) —
-	// private worker managers in partitioned mode, views of the shared
-	// table in shared mode. Values below 1 select GOMAXPROCS; 1 runs
-	// everything on the owning manager with no parallel machinery. Any
-	// value yields the same synthesized program: intermediate sets are
-	// canonical BDDs and worker results are merged in deterministic task
-	// order.
+	// Workers sized one of the removed multi-worker engines. Only 0 and 1
+	// are accepted; any other value fails the run.
+	//
+	// Deprecated: the engine is serial.
 	Workers int
 	// GCThreshold overrides the managers' automatic-collection cadence for
 	// this run: a positive value collects after that many node allocations, a
@@ -180,27 +175,28 @@ func (o *Options) phase(name string) {
 }
 
 // ApplyEngine pushes the manager-tuning options — node budget, collection
-// cadence, reordering cadence — onto an engine's owner and worker managers.
+// cadence, reordering cadence — onto an engine's manager.
 // Every run boundary that builds an engine (the repair algorithms, the
 // standalone verifier) funnels through it so the knobs mean the same thing
 // everywhere.
 func (o *Options) ApplyEngine(eng *program.Engine) {
+	m := eng.C.Space.M
 	if o.NodeBudget > 0 {
-		eng.SetNodeBudget(o.NodeBudget)
+		m.SetNodeBudget(o.NodeBudget)
 	}
 	if o.GCThreshold != 0 {
 		n := o.GCThreshold
 		if n < 0 {
 			n = 0 // manager semantics: <= 0 disables automatic GC
 		}
-		eng.SetGCThreshold(n)
+		m.SetGCThreshold(n)
 	}
 	if o.Reorder != 0 {
 		n := o.Reorder
 		if n < 0 {
 			n = 0 // manager semantics: <= 0 disables automatic reordering
 		}
-		eng.SetReorderThreshold(n)
+		m.SetReorderThreshold(n)
 	}
 }
 
@@ -239,7 +235,7 @@ type Result struct {
 	// of original program transitions the repair deleted. Both are exact
 	// (each valid transition contributes its integer weight once), and both
 	// are functions of the synthesized program and the weights alone, so
-	// they are identical across worker counts and engine modes.
+	// they are identical under any collection or reordering cadence.
 	Costed       bool
 	AchievedCost float64
 	CostRemoved  float64
@@ -279,7 +275,7 @@ func srcInto(c *program.Compiled, parts []bdd.Node, from, to bdd.Node) bdd.Node 
 // program must never execute (Section V-A). It is exported for the
 // synchronous-semantics extension, which reuses the Add-Masking skeleton.
 func ComputeMsMt(c *program.Compiled, badTrans bdd.Node) (ms, mt bdd.Node) {
-	ms, mt, _ = ComputeMsMtEngine(context.Background(), program.SerialEngine(c), badTrans)
+	ms, mt, _ = ComputeMsMtEngine(context.Background(), program.NewEngine(c), badTrans)
 	return ms, mt
 }
 

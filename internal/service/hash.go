@@ -32,11 +32,8 @@ func defKey(def *program.Def, alg string, opts repair.Options) string {
 		fmt.Fprintf(h, format, args...)
 	}
 
-	// Workers does not change the synthesized program (the engine is
-	// deterministic across worker counts), but the report records the
-	// effective count, so runs with different budgets must not alias in the
-	// cache. The node budget can turn a success into a failure, so it is part
-	// of the address too. The version prefix is bumped whenever the report
+	// The node budget can turn a success into a failure, so it is part of
+	// the address. The version prefix is bumped whenever the report
 	// shape for the same inputs changes (v3: witnesses embedded in RunReport;
 	// v4: node-lifetime counters in RunReport and node_budget in the spec;
 	// v5: reorder in the spec and bdd_reorder_runs in RunReport; v6: the
@@ -46,13 +43,11 @@ func defKey(def *program.Def, alg string, opts repair.Options) string {
 	// in RunReport; v8: the cost model in the spec — hashed canonically like
 	// the engine, flat and structured spellings alias — plus per-action cost
 	// annotations and cost rules from the .ftr source, and the cost fields in
+	// RunReport; v9: one spec shape — the engine mode, the worker count and
+	// the flat cost spellings are gone, and so are workers/engine_mode in
 	// RunReport).
-	mode := opts.Mode
-	if mode == "" {
-		mode = string(program.ModePartitioned)
-	}
-	wr("v8\x00alg=%s\x00heur=%t\x00defercyc=%t\x00maxiter=%d\x00mode=%s\x00workers=%d\x00nodebudget=%d\x00reorder=%d\x00",
-		alg, opts.ReachabilityHeuristic, opts.DeferCycleBreaking, opts.MaxOuterIterations, mode, opts.Workers, opts.NodeBudget, opts.Reorder)
+	wr("v9\x00alg=%s\x00heur=%t\x00defercyc=%t\x00maxiter=%d\x00nodebudget=%d\x00reorder=%d\x00",
+		alg, opts.ReachabilityHeuristic, opts.DeferCycleBreaking, opts.MaxOuterIterations, opts.NodeBudget, opts.Reorder)
 	if opts.Costs != nil {
 		wr("cost:default=%d:minimize=%t\x00", opts.Costs.Default, opts.MinimizeCost)
 		names := make([]string, 0, len(opts.Costs.Actions))

@@ -31,11 +31,6 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// MaxJobWorkers bounds Spec.Workers: each engine worker costs a private BDD
-// manager, so an unbounded request would let one client exhaust the daemon's
-// memory.
-const MaxJobWorkers = 16
-
 // MaxWitnesses bounds Spec.Witnesses: each demonstration costs a serial
 // extraction pass and is embedded verbatim in the cached report, so an
 // unbounded request would bloat both the worker and the cache.
@@ -53,12 +48,6 @@ type Spec struct {
 
 	// Algorithm is "lazy" (default) or "cautious".
 	Algorithm string `json:"algorithm,omitempty"`
-	// Workers is the per-job parallel-engine budget: the number of private
-	// BDD worker managers fanning out one synthesis. 0 (the default) runs
-	// the job serially — the daemon's own pool already parallelizes across
-	// jobs — while an explicit 2..MaxJobWorkers lets one wide job use
-	// several cores. The synthesized result is identical either way.
-	Workers int `json:"workers,omitempty"`
 	// Pure disables the reachability heuristic (the paper's ablation).
 	Pure bool `json:"pure,omitempty"`
 	// DeferCycles moves cycle-breaking after Step 2 (the paper's ablation).
@@ -88,7 +77,7 @@ type Spec struct {
 	// default) means unbounded. Part of the content address: a budgeted run
 	// can fail where an unbudgeted one succeeds, so they never alias.
 	NodeBudget int64 `json:"node_budget,omitempty"`
-	// Reorder arms dynamic variable reordering on the job's BDD managers: a
+	// Reorder arms dynamic variable reordering on the job's BDD manager: a
 	// sifting pass runs after that many node allocations. 0 (the default)
 	// leaves reordering off. The synthesized program and its witnesses are
 	// identical either way; only node counts and timing differ, which is
@@ -96,24 +85,9 @@ type Spec struct {
 	// them).
 	Reorder int64 `json:"reorder,omitempty"`
 
-	// Engine is the structured engine configuration, mirroring the library's
-	// EngineConfig. Its non-zero fields take precedence over the legacy flat
-	// fields above (workers, node_budget, reorder, backend), and both
-	// spellings canonicalize to the same content address, so a flat spec and
-	// its structured equivalent alias in the cache.
-	Engine *EngineSpec `json:"engine,omitempty"`
-
-	// CostDefault, CostActions and MinimizeCost are the flat spellings of the
-	// cost configuration; like the flat engine fields they are aliases for the
-	// structured Cost object below, which wins field-by-field, and both
-	// spellings canonicalize to the same content address.
-	CostDefault  int64            `json:"cost_default,omitempty"`
-	CostActions  map[string]int64 `json:"cost_actions,omitempty"`
-	MinimizeCost bool             `json:"minimize_cost,omitempty"`
-
-	// Cost is the structured cost configuration — the service-side mirror of
-	// the library's CostModel plus the minimize switch. Any active cost field
-	// (structured or flat) prices the job's transitions and adds
+	// Cost is the cost configuration — the service-side mirror of the
+	// library's CostModel plus the minimize switch. Any active cost field
+	// prices the job's transitions and adds
 	// achieved_cost/cost_removed to the report; Minimize additionally turns on
 	// cost-aware synthesis. Part of the content address: a costed report and
 	// an uncosted one never alias.
@@ -130,23 +104,6 @@ type CostSpec struct {
 	// Minimize turns on cost-aware synthesis (cheapest-first cycle breaking
 	// and convergence-time recovery thinning); the verdict is unchanged.
 	Minimize bool `json:"minimize,omitempty"`
-}
-
-// EngineSpec is a Spec's structured engine configuration — the service-side
-// mirror of the library's EngineConfig.
-type EngineSpec struct {
-	// Mode selects the parallel engine: "partitioned" (the default) or
-	// "shared". Validated; part of the content address in canonical form.
-	Mode string `json:"mode,omitempty"`
-	// Workers is the per-job worker count (same semantics and bound as the
-	// legacy flat field).
-	Workers int `json:"workers,omitempty"`
-	// NodeBudget bounds the job's live BDD node count.
-	NodeBudget int64 `json:"node_budget,omitempty"`
-	// Reorder arms dynamic variable reordering.
-	Reorder int64 `json:"reorder,omitempty"`
-	// Backend selects the verification backend ("bdd" or "sat").
-	Backend string `json:"backend,omitempty"`
 }
 
 // resolve parses/builds the program definition and the core job, and
@@ -177,60 +134,24 @@ func (sp *Spec) resolve() (*program.Def, core.Job, string, error) {
 		return nil, core.Job{}, "", fmt.Errorf("service: unknown algorithm %q (want %q or %q)",
 			alg, core.LazyRepair, core.CautiousRepair)
 	}
-	// Canonicalize the engine configuration: the structured object wins
-	// field-by-field over the legacy flat spellings, and the merged result is
-	// what gets validated and hashed — so {"workers": 4} and
-	// {"engine": {"workers": 4}} are the same job.
-	eng := EngineSpec{}
-	if sp.Engine != nil {
-		eng = *sp.Engine
-	}
-	if eng.Workers == 0 {
-		eng.Workers = sp.Workers
-	}
-	if eng.NodeBudget == 0 {
-		eng.NodeBudget = sp.NodeBudget
-	}
-	if eng.Reorder == 0 {
-		eng.Reorder = sp.Reorder
-	}
-	if eng.Backend == "" {
-		eng.Backend = sp.Backend
-	}
-	mode, err := program.ParseMode(eng.Mode)
-	if err != nil {
-		return nil, core.Job{}, "", fmt.Errorf("service: %w", err)
-	}
-	if eng.Workers < 0 || eng.Workers > MaxJobWorkers {
-		return nil, core.Job{}, "", fmt.Errorf("service: workers %d out of range [0,%d]", eng.Workers, MaxJobWorkers)
-	}
 	if sp.Witnesses < 0 || sp.Witnesses > MaxWitnesses {
 		return nil, core.Job{}, "", fmt.Errorf("service: witnesses %d out of range [0,%d]", sp.Witnesses, MaxWitnesses)
 	}
-	if eng.NodeBudget < 0 {
-		return nil, core.Job{}, "", fmt.Errorf("service: node_budget %d must be non-negative", eng.NodeBudget)
+	if sp.NodeBudget < 0 {
+		return nil, core.Job{}, "", fmt.Errorf("service: node_budget %d must be non-negative", sp.NodeBudget)
 	}
-	if eng.Reorder < 0 {
-		return nil, core.Job{}, "", fmt.Errorf("service: reorder %d must be non-negative", eng.Reorder)
+	if sp.Reorder < 0 {
+		return nil, core.Job{}, "", fmt.Errorf("service: reorder %d must be non-negative", sp.Reorder)
 	}
-	backend, err := verify.ParseBackend(eng.Backend)
+	backend, err := verify.ParseBackend(sp.Backend)
 	if err != nil {
 		return nil, core.Job{}, "", fmt.Errorf("service: %w", err)
 	}
 
-	// Canonicalize the cost configuration the same way: structured wins
-	// field-by-field, the merged result is validated and hashed.
 	cost := CostSpec{}
 	if sp.Cost != nil {
 		cost = *sp.Cost
 	}
-	if cost.Default == 0 {
-		cost.Default = sp.CostDefault
-	}
-	if len(cost.Actions) == 0 {
-		cost.Actions = sp.CostActions
-	}
-	cost.Minimize = cost.Minimize || sp.MinimizeCost
 	if cost.Default < 0 {
 		return nil, core.Job{}, "", fmt.Errorf("service: cost default %d must be non-negative", cost.Default)
 	}
@@ -245,16 +166,8 @@ func (sp *Spec) resolve() (*program.Def, core.Job, string, error) {
 	opts := repair.DefaultOptions()
 	opts.ReachabilityHeuristic = !sp.Pure
 	opts.DeferCycleBreaking = sp.DeferCycles
-	opts.Mode = string(mode)
-	// Unlike the library default (0 → GOMAXPROCS), a daemon job defaults to
-	// a serial engine: the service's worker pool already runs jobs in
-	// parallel, so intra-job width is opt-in per job.
-	opts.Workers = eng.Workers
-	if opts.Workers == 0 {
-		opts.Workers = 1
-	}
-	opts.NodeBudget = eng.NodeBudget
-	opts.Reorder = eng.Reorder
+	opts.NodeBudget = sp.NodeBudget
+	opts.Reorder = sp.Reorder
 	if costed {
 		opts.Costs = &repair.CostModel{Default: cost.Default, Actions: cost.Actions}
 		opts.MinimizeCost = cost.Minimize

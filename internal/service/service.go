@@ -28,11 +28,6 @@ import (
 type Config struct {
 	// Workers is the worker-pool size; default GOMAXPROCS(0).
 	Workers int
-	// JobWorkers is the default per-job parallel-engine width applied to
-	// submissions that leave Spec.Workers at 0. The default (0) keeps such
-	// jobs serial — the pool above already parallelizes across jobs. Capped
-	// at MaxJobWorkers.
-	JobWorkers int
 	// QueueDepth bounds the pending-job queue; default 64.
 	QueueDepth int
 	// CacheEntries bounds the result cache; default 256.
@@ -99,12 +94,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxLogLines <= 0 {
 		c.MaxLogLines = 64
-	}
-	if c.JobWorkers < 0 {
-		c.JobWorkers = 0
-	}
-	if c.JobWorkers > MaxJobWorkers {
-		c.JobWorkers = MaxJobWorkers
 	}
 	if c.SpillEntries <= 0 {
 		c.SpillEntries = 4096
@@ -250,9 +239,6 @@ func (s *Service) Submit(spec Spec) (JobView, error) { return s.SubmitFor("", sp
 // applies only to submissions that need a synthesis; content-addressed
 // cache hits are always served.
 func (s *Service) SubmitFor(client string, spec Spec) (JobView, error) {
-	if spec.Workers == 0 {
-		spec.Workers = s.cfg.JobWorkers
-	}
 	def, coreJob, key, err := spec.resolve()
 	if err != nil {
 		return JobView{}, err
@@ -480,8 +466,6 @@ func (s *Service) run(j *job) {
 		s.metrics.add(&s.metrics.fixRounds, report.FixRounds)
 		s.metrics.add(&s.metrics.fixImages, report.FixImages)
 		s.metrics.maxOf(&s.metrics.fixFrontierPeak, report.FixFrontierPeak)
-		s.metrics.add(&s.metrics.fixOpSpawns, report.FixOpSpawns)
-		s.metrics.add(&s.metrics.fixOpSteals, report.FixOpSteals)
 		if st := report.SAT; st != nil {
 			s.metrics.add(&s.metrics.satConflicts, st.Conflicts)
 			s.metrics.add(&s.metrics.satDecisions, st.Decisions)

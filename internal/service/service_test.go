@@ -64,20 +64,17 @@ func TestDefKeyNormalizesSurfaceSyntax(t *testing.T) {
 
 func TestSpecValidation(t *testing.T) {
 	cases := []Spec{
-		{},                                  // neither model nor case
-		{Case: "ba", Model: "program x\n"},  // both
-		{Case: "nope"},                      // unknown case
-		{Case: "ba", N: 0},                  // bad instance size
-		{Case: "ba", N: 3, Algorithm: "??"}, // unknown algorithm
-		{Model: "var x : bool\n"},           // malformed model
-		{Case: "ba", N: 3, Workers: -1},     // negative engine width
-		{Case: "ba", N: 3, Workers: MaxJobWorkers + 1},                               // over the cap
-		{Case: "ba", N: 3, Engine: &EngineSpec{Mode: "threads"}},                     // unknown engine mode
-		{Case: "ba", N: 3, Engine: &EngineSpec{Workers: -1}},                         // negative width via engine object
-		{Case: "ba", N: 3, Engine: &EngineSpec{Workers: MaxJobWorkers + 1}},          // over the cap via engine object
-		{Case: "ba", N: 3, Engine: &EngineSpec{Backend: "z3"}},                       // unknown backend via engine object
-		{Case: "ba", N: 3, CostDefault: -1},                                          // negative default weight
-		{Case: "ba", N: 3, CostActions: map[string]int64{"a": 0}},                    // zero action weight
+		{},                                               // neither model nor case
+		{Case: "ba", Model: "program x\n"},               // both
+		{Case: "nope"},                                   // unknown case
+		{Case: "ba", N: 0},                               // bad instance size
+		{Case: "ba", N: 3, Algorithm: "??"},              // unknown algorithm
+		{Model: "var x : bool\n"},                        // malformed model
+		{Case: "ba", N: 3, Backend: "z3"},                // unknown backend
+		{Case: "ba", N: 3, NodeBudget: -1},               // negative node budget
+		{Case: "ba", N: 3, Reorder: -1},                  // negative reorder cadence
+		{Case: "ba", N: 3, Cost: &CostSpec{Default: -1}}, // negative default weight
+		{Case: "ba", N: 3, Cost: &CostSpec{Actions: map[string]int64{"a": 0}}},       // zero action weight
 		{Case: "ba", N: 3, Cost: &CostSpec{Actions: map[string]int64{"a": 1 << 31}}}, // over the weight cap
 	}
 	for i, sp := range cases {
@@ -87,11 +84,11 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
-// TestEngineSpecCanonicalization pins the aliasing contract of the
-// structured engine object: a flat spec and its structured spelling share a
-// content address, non-zero engine fields win over their flat twins, and the
-// default mode hashes identically whether it is spelled "", "partitioned",
-// or left to the flat fields.
+// TestEngineSpecCanonicalization pins the content address of the spec's
+// engine fields: the default backend hashes identically whether it is
+// spelled "" or "bdd", every field that can change the report (backend,
+// node budget, reorder cadence) is part of the address, and resolve wires
+// the fields into the job.
 func TestEngineSpecCanonicalization(t *testing.T) {
 	key := func(sp Spec) string {
 		t.Helper()
@@ -102,44 +99,35 @@ func TestEngineSpecCanonicalization(t *testing.T) {
 		return k
 	}
 
-	flat := Spec{Case: "ba", N: 3, Workers: 2, NodeBudget: 1 << 20, Reorder: 1 << 16, Backend: "sat"}
-	structured := Spec{Case: "ba", N: 3, Engine: &EngineSpec{
-		Workers: 2, NodeBudget: 1 << 20, Reorder: 1 << 16, Backend: "sat",
-	}}
-	if key(flat) != key(structured) {
-		t.Error("flat and structured spellings of the same engine config hash differently")
+	base := Spec{Case: "ba", N: 3}
+	if key(base) != key(Spec{Case: "ba", N: 3, Backend: "bdd"}) {
+		t.Error(`default backend and explicit "bdd" hash differently`)
+	}
+	for _, sp := range []Spec{
+		{Case: "ba", N: 3, Backend: "sat"},
+		{Case: "ba", N: 3, NodeBudget: 1 << 20},
+		{Case: "ba", N: 3, Reorder: 1 << 16},
+	} {
+		if key(sp) == key(base) {
+			t.Errorf("engine field of %+v not part of the content address", sp)
+		}
 	}
 
-	explicit := structured
-	explicit.Engine = &EngineSpec{Mode: "partitioned", Workers: 2, NodeBudget: 1 << 20, Reorder: 1 << 16, Backend: "sat"}
-	if key(structured) != key(explicit) {
-		t.Error(`default mode and explicit "partitioned" hash differently`)
-	}
-
-	shared := Spec{Case: "ba", N: 3, Engine: &EngineSpec{Mode: "shared", Workers: 2}}
-	if key(Spec{Case: "ba", N: 3, Workers: 2}) == key(shared) {
-		t.Error("engine mode not part of the content address")
-	}
-
-	// Non-zero engine fields take precedence over the flat twins: engine
-	// workers 4 + flat workers 2 is the same job as flat workers 4.
-	mixed := Spec{Case: "ba", N: 3, Workers: 2, Engine: &EngineSpec{Workers: 4}}
-	if key(mixed) != key(Spec{Case: "ba", N: 3, Workers: 4}) {
-		t.Error("engine object does not win over flat fields in the content address")
-	}
-	_, job, _, err := mixed.resolve()
+	tuned := Spec{Case: "ba", N: 3, NodeBudget: 1 << 20, Reorder: 1 << 16, Backend: "sat"}
+	_, job, _, err := tuned.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.Options.Workers != 4 {
-		t.Errorf("resolved workers = %d, want the engine object's 4", job.Options.Workers)
+	if job.Options.NodeBudget != 1<<20 || job.Options.Reorder != 1<<16 || job.Backend != "sat" {
+		t.Errorf("resolved engine fields = budget %d reorder %d backend %q, want the spec's values",
+			job.Options.NodeBudget, job.Options.Reorder, job.Backend)
 	}
 }
 
-// TestCostSpecCanonicalization pins the aliasing contract of the structured
-// cost object: a flat spec and its structured spelling share a content
-// address, the structured object wins field-by-field, uncosted and costed
-// jobs never alias, and resolve wires the merged model into the job options.
+// TestCostSpecCanonicalization pins the content address of the cost object:
+// an all-zero object is the uncosted job, uncosted and costed jobs never
+// alias, the minimize switch is part of the address, and resolve wires the
+// model into the job options.
 func TestCostSpecCanonicalization(t *testing.T) {
 	key := func(sp Spec) string {
 		t.Helper()
@@ -150,12 +138,11 @@ func TestCostSpecCanonicalization(t *testing.T) {
 		return k
 	}
 
-	flat := Spec{Case: "ba", N: 3, CostDefault: 2, CostActions: map[string]int64{"copy": 5}, MinimizeCost: true}
 	structured := Spec{Case: "ba", N: 3, Cost: &CostSpec{
 		Default: 2, Actions: map[string]int64{"copy": 5}, Minimize: true,
 	}}
-	if key(flat) != key(structured) {
-		t.Error("flat and structured spellings of the same cost config hash differently")
+	if key(Spec{Case: "ba", N: 3, Cost: &CostSpec{}}) != key(Spec{Case: "ba", N: 3}) {
+		t.Error("an all-zero cost object hashes differently from the uncosted job")
 	}
 
 	if key(Spec{Case: "ba", N: 3}) == key(structured) {
@@ -167,19 +154,13 @@ func TestCostSpecCanonicalization(t *testing.T) {
 		t.Error("minimize switch not part of the content address")
 	}
 
-	// The structured object wins over the flat twins.
-	mixed := Spec{Case: "ba", N: 3, CostDefault: 7, Cost: &CostSpec{Default: 2}}
-	if key(mixed) != key(Spec{Case: "ba", N: 3, Cost: &CostSpec{Default: 2}}) {
-		t.Error("cost object does not win over flat fields in the content address")
-	}
-
 	_, job, _, err := structured.resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if job.Options.Costs == nil || job.Options.Costs.Default != 2 ||
 		job.Options.Costs.Actions["copy"] != 5 || !job.Options.MinimizeCost {
-		t.Errorf("resolved cost options = %+v minimize=%t, want the structured spec's values",
+		t.Errorf("resolved cost options = %+v minimize=%t, want the spec's values",
 			job.Options.Costs, job.Options.MinimizeCost)
 	}
 }
@@ -205,30 +186,6 @@ func TestCostSpecRuns(t *testing.T) {
 	}
 	if final.Result.Verified == nil || !*final.Result.Verified {
 		t.Fatal("costed job was not verified")
-	}
-}
-
-// TestSharedEngineSpecRuns submits a shared-mode job end to end and checks
-// the report records the mode.
-func TestSharedEngineSpecRuns(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 4})
-	defer s.Close()
-	v, err := s.Submit(Spec{Case: "ba", N: 2, Witnesses: 2, Engine: &EngineSpec{Mode: "shared", Workers: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	final, err := s.Wait(context.Background(), v.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.State != StateDone || final.Result == nil {
-		t.Fatalf("job did not finish: state=%s err=%q", final.State, final.Error)
-	}
-	if final.Result.EngineMode != "shared" || final.Result.Workers != 2 {
-		t.Fatalf("report records engine_mode=%q workers=%d, want shared/2", final.Result.EngineMode, final.Result.Workers)
-	}
-	if final.Result.Verified == nil || !*final.Result.Verified {
-		t.Fatal("shared-mode job was not verified")
 	}
 }
 
@@ -580,43 +537,6 @@ func TestE2EHTTPSurface(t *testing.T) {
 	}
 }
 
-// TestWorkersSpecRunsAndRecords submits a job with an explicit parallel
-// engine width and checks the verified report records it; a second service
-// with Config.JobWorkers set must apply that default to specs that omit the
-// field.
-func TestWorkersSpecRunsAndRecords(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 4})
-	defer s.Close()
-	v, err := s.Submit(Spec{Case: "ba", N: 2, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	final, err := s.Wait(context.Background(), v.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.State != StateDone || final.Result == nil {
-		t.Fatalf("job did not finish: state=%s err=%q", final.State, final.Error)
-	}
-	if final.Result.Workers != 2 {
-		t.Fatalf("report records %d workers, want 2", final.Result.Workers)
-	}
-
-	s2 := New(Config{Workers: 1, QueueDepth: 4, JobWorkers: 2})
-	defer s2.Close()
-	v2, err := s2.Submit(Spec{Case: "ba", N: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	final2, err := s2.Wait(context.Background(), v2.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final2.Result == nil || final2.Result.Workers != 2 {
-		t.Fatalf("JobWorkers default not applied: %+v", final2.Result)
-	}
-}
-
 // TestNodeBudgetSpec covers the node_budget spec field end to end: validation,
 // content addressing, budget enforcement, and the node counters on success.
 func TestNodeBudgetSpec(t *testing.T) {
@@ -688,12 +608,29 @@ func TestHTTPStructuredErrors(t *testing.T) {
 	}
 
 	resp, err := http.Post(base+"/v1/repair", "application/json",
-		strings.NewReader(`{"case":"ba","n":3,"workers":99}`))
+		strings.NewReader(`{"case":"ba","n":3,"node_budget":-1}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ae := readErr(resp); resp.StatusCode != http.StatusBadRequest || ae.Code != CodeInvalidSpec {
-		t.Fatalf("workers=99: status=%d code=%q", resp.StatusCode, ae.Code)
+		t.Fatalf("node_budget=-1: status=%d code=%q", resp.StatusCode, ae.Code)
+	}
+
+	// Fields of removed spec spellings are unknown fields: the decoder
+	// rejects them before the spec is resolved.
+	for _, body := range []string{
+		`{"case":"ba","n":3,"workers":4}`,
+		`{"case":"ba","n":3,"engine":{"mode":"shared"}}`,
+		`{"case":"ba","n":3,"cost_default":2}`,
+	} {
+		resp, err = http.Post(base+"/v1/repair", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ae := readErr(resp); resp.StatusCode != http.StatusBadRequest || ae.Code != CodeBadJSON ||
+			!strings.Contains(ae.Message, "unknown field") {
+			t.Fatalf("%s: status=%d code=%q message=%q", body, resp.StatusCode, ae.Code, ae.Message)
+		}
 	}
 
 	resp, err = http.Post(base+"/v1/repair", "application/json", strings.NewReader(`{not json`))

@@ -149,24 +149,23 @@ func (r *Report) attach(name string, tr *witness.Trace) {
 // Result verifies a repair result against the compiled program it was
 // synthesized from.
 func Result(c *program.Compiled, res *repair.Result) *Report {
-	rep, _ := ResultEngine(context.Background(), program.SerialEngine(c), res)
+	rep, _ := ResultEngine(context.Background(), program.NewEngine(c), res)
 	return rep
 }
 
-// ResultEngine is Result with the per-process predicates (the maximal
+// ResultEngine is Result running the per-process predicates (the maximal
 // realizable subsets every safety and realizability check builds on) and the
-// reachability fixpoints fanned out across the engine's workers. The checks
-// themselves are unchanged — canonical BDDs make the fan-out invisible to
-// the verdict. The error is non-nil only on context cancellation.
+// reachability fixpoints on the given engine. The error is non-nil only on
+// context cancellation.
 func ResultEngine(ctx context.Context, e *program.Engine, res *repair.Result) (*Report, error) {
 	return resultEngine(ctx, e, res, BackendBDD, false)
 }
 
 // ResultWitnessEngine is ResultEngine plus witness extraction: every failed
 // check with a trace-shaped failure mode carries a concrete Trace that
-// witness.Certify confirms. Extraction runs serially on the engine's owner
-// manager from the same canonical fixpoint sets the checks computed, so the
-// attached witnesses are byte-identical across worker counts.
+// witness.Certify confirms. Extraction works from the same canonical
+// fixpoint sets the checks computed, so the attached witnesses are
+// byte-identical under any collection or reordering cadence.
 func ResultWitnessEngine(ctx context.Context, e *program.Engine, res *repair.Result) (*Report, error) {
 	return resultEngine(ctx, e, res, BackendBDD, true)
 }
@@ -348,8 +347,8 @@ func resultEngine(ctx context.Context, e *program.Engine, res *repair.Result, ba
 
 	// --- witnesses ---------------------------------------------------------
 	// Extraction reuses the canonical sets computed above (the stuck and
-	// cyclic states) and runs serially, so the same model and result yield
-	// byte-identical traces regardless of the engine's worker count.
+	// cyclic states), so the same model and result yield byte-identical
+	// traces.
 	if withWitness {
 		x := witness.New(c)
 		if rep.failed("no reachable bad state") || rep.failed("no reachable bad transition") {

@@ -12,9 +12,8 @@
 // reconstruction (see Extractor) and re-checked by an independent
 // explicit-state walker (see Certify), so every witness is a certificate
 // rather than trust-me output. Extraction is deterministic: the same model
-// and result yield byte-identical JSON regardless of the engine's worker
-// count, because every intermediate set is a canonical BDD and cube
-// selection always follows the same branch order.
+// and result yield byte-identical JSON, because every intermediate set is a
+// canonical BDD and cube selection always follows the same branch order.
 package witness
 
 import (

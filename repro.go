@@ -12,7 +12,7 @@
 //     expression constructors re-exported from internal/expr.
 //   - Repair it with Repair, the single entry point: the algorithm (LazyAlg,
 //     the paper's two-step Algorithm 1, or CautiousAlg, the prior tool's
-//     baseline), worker budget, timeout, and logging are functional options.
+//     baseline), engine knobs, timeout, and logging are functional options.
 //   - Verify the output independently against the paper's definitions.
 //
 // See examples/ for runnable programs and DESIGN.md for the architecture.
