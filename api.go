@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/program"
 	"repro/internal/repair"
 	"repro/internal/verify"
-	"repro/internal/witness"
 )
 
 // Algorithm selects the repair algorithm used by Repair.
@@ -156,7 +156,7 @@ func WithOptions(o Options) Option {
 // algorithm, engine knobs, timeout, and logging are all functional options,
 // and the context carries cancellation. With no options it runs the paper's
 // headline configuration (lazy repair, reachability heuristic on).
-func Repair(ctx context.Context, def *Def, opts ...Option) (compiled *Compiled, result *Result, err error) {
+func Repair(ctx context.Context, def *Def, opts ...Option) (*Compiled, *Result, error) {
 	cfg := repairConfig{opts: repair.DefaultOptions()}
 	for _, o := range opts {
 		o(&cfg)
@@ -167,50 +167,18 @@ func Repair(ctx context.Context, def *Def, opts ...Option) (compiled *Compiled, 
 		defer cancel()
 	}
 
-	c, err := def.Compile()
+	// The algorithm names are core's ("lazy", "cautious"); core.Run rejects
+	// any other.
+	out, err := core.Run(ctx, core.Job{
+		Def:       def,
+		Algorithm: core.Algorithm(cfg.alg.String()),
+		Options:   cfg.opts,
+		Witnesses: cfg.witnesses,
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	eng, err := program.NewEngineMode(c, program.Mode(cfg.opts.Mode), cfg.opts.Workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	cfg.opts.ApplyEngine(eng)
-	// A blown budget surfaces as a *bdd.BudgetError panic at a collection
-	// safe point; Repair is a run boundary, so it converts the panic back
-	// into an ordinary error unconditionally — a budget can be armed even
-	// when this call didn't set one (WithOptions carrying a budget-bearing
-	// Options value, a stressed manager default).
-	defer func() {
-		if r := recover(); r != nil {
-			be, ok := r.(*BudgetError)
-			if !ok {
-				panic(r)
-			}
-			compiled, result, err = nil, nil, fmt.Errorf("repro: %w", be)
-		}
-	}()
-
-	var res *Result
-	switch cfg.alg {
-	case LazyAlg:
-		res, err = repair.LazyEngine(ctx, eng, cfg.opts)
-	case CautiousAlg:
-		res, err = repair.CautiousEngine(ctx, eng, cfg.opts)
-	default:
-		return nil, nil, fmt.Errorf("repro: unknown algorithm %v", cfg.alg)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if cfg.witnesses > 0 {
-		demos, werr := witness.RecoveryDemos(ctx, c, res.Trans, res.Invariant, res.FaultSpan, cfg.witnesses)
-		if werr != nil {
-			return nil, nil, werr
-		}
-		res.Witnesses = demos
-	}
-	return c, res, nil
+	return out.Compiled, out.Result, nil
 }
 
 // NodeStats reports the node-lifetime counters of a compiled model's BDD

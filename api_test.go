@@ -182,3 +182,15 @@ func TestCrossManagerPanics(t *testing.T) {
 	expectPanic("CountTransitions", func() { CountTransitions(small, foreign) })
 	expectPanic("Intersects", func() { Intersects(small, foreign, bigRes.Invariant) })
 }
+
+// TestRepairUnknownAlgorithm: an Algorithm value outside the declared
+// constants is an error, not a silent fallback to lazy repair.
+func TestRepairUnknownAlgorithm(t *testing.T) {
+	def, err := CaseStudy("ba", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Repair(context.Background(), def, WithAlgorithm(Algorithm(7))); err == nil {
+		t.Fatal("Repair with Algorithm(7) succeeded")
+	}
+}

@@ -22,7 +22,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -158,72 +157,21 @@ func main() {
 		fatal(err)
 	}
 
+	cn, cnN := *caseName, *n
+	if *file != "" {
+		cn, cnN = "", 0
+	}
+	report := core.NewRunReport(job, out, cn, cnN)
 	if *jsonOut {
-		cn, cnN := *caseName, *n
-		if *file != "" {
-			cn, cnN = "", 0
-		}
-		report := core.NewRunReport(job, out, cn, cnN)
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fatal(err)
-		}
-		if out.Report != nil && !out.Report.OK() {
-			os.Exit(1)
-		}
+		emitJSON(report)
 		return
 	}
-
-	s := out.Compiled.Space
-	res := out.Result
-	fmt.Printf("case study:        %s\n", def.Name)
-	fmt.Printf("algorithm:         %s\n", *alg)
-	fmt.Printf("state space:       %.3g states (%d boolean bits)\n",
-		s.CountStates(s.ValidCur()), s.TotalBits())
-	fmt.Printf("reachable states:  %.3g\n", res.Stats.ReachableStates)
-	fmt.Printf("compile time:      %v\n", out.CompileTime)
-	if res.Stats.Total > 0 {
-		fmt.Printf("repair time:       %v\n", res.Stats.Total)
-	}
-	if res.Stats.Step1 > 0 || res.Stats.Step2 > 0 {
-		fmt.Printf("  step 1:          %v\n", res.Stats.Step1)
-		fmt.Printf("  step 2:          %v\n", res.Stats.Step2)
-	}
-	fmt.Printf("outer iterations:  %d\n", res.Stats.OuterIterations)
-	fmt.Printf("invariant:         %.3g states\n", s.CountStates(res.Invariant))
-	fmt.Printf("fault-span:        %.3g states\n", s.CountStates(res.FaultSpan))
-	fmt.Printf("BDD nodes:         %d\n", res.Stats.BDDNodes)
-	if res.Costed {
-		fmt.Printf("achieved cost:     %.4g (weighted recovery transitions kept)\n", res.AchievedCost)
-		fmt.Printf("cost removed:      %.4g (weighted original transitions deleted)\n", res.CostRemoved)
-	}
-
-	if out.Report != nil {
-		fmt.Printf("\nverification:\n%s", out.Report)
-		if st := out.SATStats; st != nil {
-			fmt.Printf("SAT solver:        %d conflicts, %d decisions, %d propagations, %d learned, max level %d\n",
-				st.Conflicts, st.Decisions, st.Propagations, st.Learned, st.MaxLevel)
-		}
-	}
-	if *explain {
-		if out.Report != nil {
-			for _, c := range out.Report.Checks {
-				if c.Witness != nil {
-					fmt.Printf("\nwitness for failed check:\n%s", c.Witness)
-				}
-			}
-		}
-		for _, tr := range res.Witnesses {
-			fmt.Printf("\nrecovery demonstration:\n%s", tr)
-		}
-	}
-	if out.Report != nil && !out.Report.OK() {
-		fatal(fmt.Errorf("verification failed: %v", out.Report.Failures()))
-	}
+	printReport(report, *explain)
+	exitIfUnverified(report)
 
 	if *protocol {
 		fmt.Printf("\nsynthesized protocol (restricted to the fault-span):\n")
+		s, res := out.Compiled.Space, out.Result
 		m := s.M
 		inSpan := m.AndN(res.Trans, res.FaultSpan, s.ValidTrans())
 		for _, p := range out.Compiled.Procs {

@@ -28,9 +28,9 @@ import (
 	"time"
 
 	"repro/internal/casestudies"
+	"repro/internal/core"
 	"repro/internal/program"
 	"repro/internal/repair"
-	"repro/internal/verify"
 )
 
 type row struct {
@@ -93,22 +93,14 @@ func sizes(s string) []int {
 	return out
 }
 
-// runOne compiles def in a fresh manager and repairs it with alg, verifying
-// the result. It returns the result and whether verification passed.
-func runOne(cfg config, def *program.Def, alg func(context.Context, *program.Compiled, repair.Options) (*repair.Result, error), opts repair.Options) (*repair.Result, bool, error) {
-	c, err := def.Compile()
+// runOne repairs def with alg through core.Run, verifying the result unless
+// -verify=false. It returns the result and whether verification passed.
+func runOne(cfg config, def *program.Def, alg core.Algorithm, opts repair.Options) (*repair.Result, bool, error) {
+	out, err := core.Run(context.Background(), core.Job{Def: def, Algorithm: alg, Options: opts, Verify: cfg.verify})
 	if err != nil {
 		return nil, false, err
 	}
-	res, err := alg(context.Background(), c, opts)
-	if err != nil {
-		return nil, false, err
-	}
-	ok := true
-	if cfg.verify {
-		ok = verify.Result(c, res).OK()
-	}
-	return res, ok, nil
+	return out.Result, out.Report == nil || out.Report.OK(), nil
 }
 
 func table1(cfg config, ns []int) {
@@ -121,14 +113,14 @@ func table1(cfg config, ns []int) {
 	over := false
 	for _, n := range ns {
 		label := fmt.Sprintf("BA(%d)", n)
-		lazyRes, lazyOK, err := runOne(cfg, casestudies.BA(n), repair.Lazy, repair.DefaultOptions())
+		lazyRes, lazyOK, err := runOne(cfg, casestudies.BA(n), core.LazyRepair, repair.DefaultOptions())
 		if err != nil {
 			fmt.Printf("%-8s  repair failed: %v\n", label, err)
 			continue
 		}
 		cautCell, speedCell, verCell := "skipped", "", okStr(lazyOK)
 		if !over {
-			cautRes, cautOK, err := runOne(cfg, casestudies.BA(n), repair.Cautious, repair.DefaultOptions())
+			cautRes, cautOK, err := runOne(cfg, casestudies.BA(n), core.CautiousRepair, repair.DefaultOptions())
 			if err != nil {
 				cautCell = "failed"
 			} else {
@@ -158,7 +150,7 @@ func table2(cfg config, ns []int) {
 	fmt.Printf("%-8s  %-12s  %-12s  %-12s  %s\n", "", "States", "Lazy Step 1", "Lazy Step 2", "Verified")
 	for _, n := range ns {
 		label := fmt.Sprintf("SC(%d)", n)
-		res, ok, err := runOne(cfg, casestudies.SC(n), repair.Lazy, repair.DefaultOptions())
+		res, ok, err := runOne(cfg, casestudies.SC(n), core.LazyRepair, repair.DefaultOptions())
 		if err != nil {
 			fmt.Printf("%-8s  repair failed: %v\n", label, err)
 			continue
@@ -179,7 +171,7 @@ func table3(cfg config, ns []int) {
 	fmt.Printf("%-10s  %-12s  %-12s  %-12s  %s\n", "", "Reachable", "Lazy Step 1", "Lazy Step 2", "Verified")
 	for _, n := range ns {
 		label := fmt.Sprintf("BAFS(%d)", n)
-		res, ok, err := runOne(cfg, casestudies.BAFS(n), repair.Lazy, repair.DefaultOptions())
+		res, ok, err := runOne(cfg, casestudies.BAFS(n), core.LazyRepair, repair.DefaultOptions())
 		if err != nil {
 			fmt.Printf("%-10s  repair failed: %v\n", label, err)
 			continue
@@ -203,7 +195,7 @@ func table4(cfg config, ns []int) {
 		"", "Default", "PureLazy", "DeferCycles", "Verified")
 	for _, n := range ns {
 		label := fmt.Sprintf("BA(%d)", n)
-		def, defOK, err := runOne(cfg, casestudies.BA(n), repair.Lazy, repair.DefaultOptions())
+		def, defOK, err := runOne(cfg, casestudies.BA(n), core.LazyRepair, repair.DefaultOptions())
 		if err != nil {
 			fmt.Printf("%-8s  repair failed: %v\n", label, err)
 			continue
@@ -211,13 +203,13 @@ func table4(cfg config, ns []int) {
 		pureOpts := repair.DefaultOptions()
 		pureOpts.ReachabilityHeuristic = false
 		pureCell, pureOK := "failed", true
-		if pure, ok, err := runOne(cfg, casestudies.BA(n), repair.Lazy, pureOpts); err == nil {
+		if pure, ok, err := runOne(cfg, casestudies.BA(n), core.LazyRepair, pureOpts); err == nil {
 			pureCell, pureOK = round(pure.Stats.Total), ok
 		}
 		deferOpts := repair.DefaultOptions()
 		deferOpts.DeferCycleBreaking = true
 		deferCell, deferOK := "failed", true
-		if d, ok, err := runOne(cfg, casestudies.BA(n), repair.Lazy, deferOpts); err == nil {
+		if d, ok, err := runOne(cfg, casestudies.BA(n), core.LazyRepair, deferOpts); err == nil {
 			deferCell, deferOK = round(d.Stats.Total), ok
 		}
 		fmt.Printf("%-8s  %-14s  %-14s  %-14s  %s\n",

@@ -69,9 +69,9 @@ var stressThreshold = sync.OnceValue(func() int64 {
 
 // BudgetError reports that a manager exceeded its node budget even after a
 // collection. It is delivered as a panic at the offending operation's safe
-// point and converted back to an error at the run boundary (core.Run,
-// repro.Repair, repro.Verify), so a runaway synthesis fails cleanly instead of
-// exhausting memory.
+// point and converted back to an error at a run boundary — core.Run, which
+// every synthesis goes through (repro.Repair included), or repro.Verify — so
+// a runaway synthesis fails cleanly instead of exhausting memory.
 type BudgetError struct {
 	Live   int // live node count after the failed collection
 	Budget int // the configured budget

@@ -13,7 +13,6 @@ import (
 	"repro/internal/casestudies"
 	"repro/internal/program"
 	"repro/internal/repair"
-	"repro/internal/sat"
 	"repro/internal/verify"
 	"repro/internal/witness"
 )
@@ -74,32 +73,20 @@ type Outcome struct {
 	Compiled *program.Compiled
 	Result   *repair.Result
 	Report   *verify.Report // nil unless Job.Verify
-	// SATStats is the solver work summed over the verifier's bounded
-	// model-checking queries; nil unless Job.Verify ran under BackendSAT.
-	SATStats *sat.Stats
 
-	CompileTime time.Duration
-	VerifyTime  time.Duration // zero unless Job.Verify
-	WitnessTime time.Duration // zero unless Job.Witnesses > 0
-
-	// Node-lifetime counters of the run's manager, captured after the job
-	// finishes.
-	NodesLive   int64 // live BDD nodes when the job completed
-	PeakNodes   int64 // high-water mark of live nodes
-	GCRuns      int64 // collections performed
-	NodesFreed  int64 // nodes reclaimed
-	ReorderRuns int64 // sifting passes run
-
-	// Fixpoint is the reachability scheduler's cumulative work counters
-	// (rounds, frontier images, frontier sizes), captured after the job
-	// finishes.
-	Fixpoint program.FixpointStats
+	// Telemetry is how the run was computed: phase times, node and
+	// scheduler counters captured after the job finishes, and the solver
+	// work of a SAT-backed verification. NewRunReport copies it verbatim.
+	Telemetry
 }
 
 // Run executes a repair job. The context bounds the synthesis: a deadline or
 // cancellation aborts the repair algorithms at their next fixpoint-iteration
 // boundary with an error wrapping ctx.Err().
 //
+// Run is the one pipeline every caller goes through: repro.Repair, the
+// ftrepair and tables commands, the ftrepaird daemon, and benchjson. It is
+// also the run boundary that turns a blown node budget back into an error.
 // One engine is built per run and shared between the synthesis and the
 // verifier, so the verifier's fixpoint counters add to the synthesis's.
 func Run(ctx context.Context, job Job) (out *Outcome, err error) {
@@ -136,16 +123,18 @@ func Run(ctx context.Context, job Job) (out *Outcome, err error) {
 			out, err = nil, fmt.Errorf("core: %w", be)
 		}
 	}()
-	out = &Outcome{Compiled: compiled, CompileTime: time.Since(t0)}
+	out = &Outcome{Compiled: compiled}
+	out.CompileNS = time.Since(t0).Nanoseconds()
 	defer func() {
 		if out != nil {
 			st := compiled.Space.M.Stats()
-			out.NodesLive = st.NodesLive
-			out.PeakNodes = st.PeakLive
-			out.GCRuns = st.GCRuns
-			out.NodesFreed = st.NodesFreed
-			out.ReorderRuns = st.ReorderRuns
-			out.Fixpoint = eng.FixpointStats()
+			out.BDDNodesLive = st.NodesLive
+			out.BDDPeakNodes = st.PeakLive
+			out.BDDGCRuns = st.GCRuns
+			out.BDDNodesFreed = st.NodesFreed
+			out.BDDReorderRuns = st.ReorderRuns
+			fix := eng.FixpointStats()
+			out.FixRounds, out.FixImages = fix.Rounds, fix.Images
 		}
 	}()
 
@@ -162,6 +151,10 @@ func Run(ctx context.Context, job Job) (out *Outcome, err error) {
 		return nil, err
 	}
 	out.Result = res
+	out.BDDNodes = res.Stats.BDDNodes
+	out.Step1NS = res.Stats.Step1.Nanoseconds()
+	out.Step2NS = res.Stats.Step2.Nanoseconds()
+	out.TotalNS = res.Stats.Total.Nanoseconds()
 
 	if job.Witnesses > 0 {
 		progress(PhaseWitness)
@@ -171,7 +164,7 @@ func Run(ctx context.Context, job Job) (out *Outcome, err error) {
 			return nil, err
 		}
 		res.Witnesses = demos
-		out.WitnessTime = time.Since(t1)
+		out.WitnessNS = time.Since(t1).Nanoseconds()
 	}
 
 	if job.Verify {
@@ -186,8 +179,8 @@ func Run(ctx context.Context, job Job) (out *Outcome, err error) {
 			return nil, err
 		}
 		out.Report = rep
-		out.SATStats = rep.SAT
-		out.VerifyTime = time.Since(t1)
+		out.SAT = rep.SAT
+		out.VerifyNS = time.Since(t1).Nanoseconds()
 	}
 	return out, nil
 }

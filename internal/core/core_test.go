@@ -21,7 +21,7 @@ func TestRunLazyWithVerify(t *testing.T) {
 	if out.Report == nil || !out.Report.OK() {
 		t.Fatalf("verification missing or failed: %v", out.Report)
 	}
-	if out.CompileTime <= 0 {
+	if out.CompileNS <= 0 {
 		t.Fatal("compile time not recorded")
 	}
 	if out.Result.Stats.Total <= 0 {

@@ -9,8 +9,14 @@ import (
 // RunReport is the machine-readable summary of one repair run: the paper's
 // table columns (reachable states, Step 1 / Step 2 / total times, BDD nodes)
 // plus the verification verdict. It is the single JSON encoding shared by
-// `ftrepair -json`, the ftrepaird daemon's job results, and the benchjson
-// perf snapshots, so downstream tooling parses one shape everywhere.
+// `ftrepair -json` and its text printer, the ftrepaird daemon's job results
+// and metrics, the golden-result test, and the benchjson perf snapshots, so
+// downstream tooling parses one shape everywhere.
+//
+// Its fields split in two. The embedded Telemetry says how the run was
+// computed (times, node and scheduler counters, solver effort) and is dropped
+// whole by Normalized. Every other field is the result's identity: a
+// function of the problem and the synthesized program alone.
 type RunReport struct {
 	// Model is the program's declared name; Case/N identify a built-in
 	// case-study instance when the run came from one.
@@ -22,9 +28,8 @@ type RunReport struct {
 	Pure        bool   `json:"pure,omitempty"`         // reachability heuristic disabled
 	DeferCycles bool   `json:"defer_cycles,omitempty"` // cycle-breaking after Step 2
 	// Backend is the verification backend ("bdd" or "sat"); empty when
-	// verification was not requested. Kept by Normalized: the verdict is
-	// backend-independent, but which engine produced it is part of the
-	// report's identity.
+	// verification was not requested. The verdict is backend-independent,
+	// but which engine produced it is part of the report's identity.
 	Backend string `json:"backend,omitempty"`
 
 	StateBits       int     `json:"state_bits"`
@@ -33,39 +38,10 @@ type RunReport struct {
 	InvariantStates float64 `json:"invariant_states"`
 	FaultSpanStates float64 `json:"fault_span_states"`
 	OuterIterations int     `json:"outer_iterations"`
-	BDDNodes        int     `json:"bdd_nodes"`
 
-	// Node-lifetime counters (see internal/bdd's collector): live nodes at
-	// job completion, the high-water mark across the run's managers, and the
-	// owning manager's collection activity.
-	BDDNodesLive   int64 `json:"bdd_nodes_live,omitempty"`
-	BDDPeakNodes   int64 `json:"bdd_peak_nodes,omitempty"`
-	BDDGCRuns      int64 `json:"bdd_gc_runs,omitempty"`
-	BDDNodesFreed  int64 `json:"bdd_nodes_freed,omitempty"`
-	BDDReorderRuns int64 `json:"bdd_reorder_runs,omitempty"`
-
-	// Fixpoint-scheduler work counters (internal/program's frontier-chained
-	// scheduler): rounds and frontier images across every reachability
-	// fixpoint of the run, and the peak and final frontier sizes in BDD
-	// nodes.
-	FixRounds        int64 `json:"fix_rounds,omitempty"`
-	FixImages        int64 `json:"fix_images,omitempty"`
-	FixFrontierPeak  int64 `json:"fix_frontier_peak,omitempty"`
-	FixFrontierFinal int64 `json:"fix_frontier_final,omitempty"`
-
-	CompileNS int64 `json:"compile_ns"`
-	Step1NS   int64 `json:"step1_ns"`
-	Step2NS   int64 `json:"step2_ns"`
-	TotalNS   int64 `json:"total_ns"`
-	VerifyNS  int64 `json:"verify_ns,omitempty"`
-	WitnessNS int64 `json:"witness_ns,omitempty"`
-
-	// SAT holds the CDCL solver's work counters (conflicts, decisions,
-	// propagations, learned clauses, restarts, max decision level) summed
-	// over the verifier's bounded model-checking queries. Nil unless the run
-	// verified under the SAT backend. Zeroed by Normalized: solver effort is
-	// performance telemetry, not part of the verdict.
-	SAT *sat.Stats `json:"sat,omitempty"`
+	// Telemetry carries no JSON tag, so its keys sit inline here, in the
+	// report's wire order.
+	Telemetry
 
 	// Verified is nil when verification was not requested; otherwise the
 	// verifier's verdict, with the individual checks in Checks.
@@ -91,6 +67,46 @@ type RunReport struct {
 	CostRemoved  float64 `json:"cost_removed,omitempty"`
 }
 
+// Telemetry is everything a run reports about how it was computed rather
+// than what it computed: the BDD node counters, which move with collection
+// and reordering cadence; the fixpoint scheduler's work; the wall-clock phase
+// times; and the SAT solver's effort. RunReport embeds it and Normalized
+// drops it whole, so a counter added here can never leak into the golden
+// identity; a field added to RunReport outside it must be declared identity
+// in TestNormalizedDropsTelemetry.
+type Telemetry struct {
+	// BDDNodes is the size of the synthesized program's BDDs.
+	BDDNodes int `json:"bdd_nodes"`
+
+	// Node-lifetime counters (see internal/bdd's collector): live nodes at
+	// job completion, the high-water mark across the run, and the run's
+	// collection and reordering activity.
+	BDDNodesLive   int64 `json:"bdd_nodes_live,omitempty"`
+	BDDPeakNodes   int64 `json:"bdd_peak_nodes,omitempty"`
+	BDDGCRuns      int64 `json:"bdd_gc_runs,omitempty"`
+	BDDNodesFreed  int64 `json:"bdd_nodes_freed,omitempty"`
+	BDDReorderRuns int64 `json:"bdd_reorder_runs,omitempty"`
+
+	// Fixpoint-scheduler work counters (internal/program's frontier-chained
+	// scheduler): rounds and frontier images across every reachability
+	// fixpoint of the run, the verifier's included.
+	FixRounds int64 `json:"fix_rounds,omitempty"`
+	FixImages int64 `json:"fix_images,omitempty"`
+
+	CompileNS int64 `json:"compile_ns"`
+	Step1NS   int64 `json:"step1_ns"`
+	Step2NS   int64 `json:"step2_ns"`
+	TotalNS   int64 `json:"total_ns"`
+	VerifyNS  int64 `json:"verify_ns,omitempty"`
+	WitnessNS int64 `json:"witness_ns,omitempty"`
+
+	// SAT holds the CDCL solver's work counters (conflicts, decisions,
+	// propagations, learned clauses, restarts, max decision level) summed
+	// over the verifier's bounded model-checking queries. Nil unless the run
+	// verified under the SAT backend.
+	SAT *sat.Stats `json:"sat,omitempty"`
+}
+
 // NewRunReport summarizes a finished job. caseName and n may be zero values
 // for models that did not come from a built-in case study.
 func NewRunReport(job Job, out *Outcome, caseName string, n int) RunReport {
@@ -114,25 +130,8 @@ func NewRunReport(job Job, out *Outcome, caseName string, n int) RunReport {
 		InvariantStates: s.CountStates(res.Invariant),
 		FaultSpanStates: s.CountStates(res.FaultSpan),
 		OuterIterations: res.Stats.OuterIterations,
-		BDDNodes:        res.Stats.BDDNodes,
 
-		BDDNodesLive:   out.NodesLive,
-		BDDPeakNodes:   out.PeakNodes,
-		BDDGCRuns:      out.GCRuns,
-		BDDNodesFreed:  out.NodesFreed,
-		BDDReorderRuns: out.ReorderRuns,
-
-		FixRounds:        out.Fixpoint.Rounds,
-		FixImages:        out.Fixpoint.Images,
-		FixFrontierPeak:  out.Fixpoint.PeakFrontier,
-		FixFrontierFinal: out.Fixpoint.FinalFrontier,
-
-		CompileNS: out.CompileTime.Nanoseconds(),
-		Step1NS:   res.Stats.Step1.Nanoseconds(),
-		Step2NS:   res.Stats.Step2.Nanoseconds(),
-		TotalNS:   res.Stats.Total.Nanoseconds(),
-		VerifyNS:  out.VerifyTime.Nanoseconds(),
-		WitnessNS: out.WitnessTime.Nanoseconds(),
+		Telemetry: out.Telemetry,
 
 		Witnesses: res.Witnesses,
 
@@ -150,36 +149,17 @@ func NewRunReport(job Job, out *Outcome, caseName string, n int) RunReport {
 			backend = job.Backend // unvalidated jobs render verbatim
 		}
 		r.Backend = string(backend)
-		r.SAT = out.SATStats
 	}
 	return r
 }
 
-// Normalized strips the fields that legitimately vary between runs of the
-// same synthesis problem — wall-clock times and the BDD node counts (the
-// node table evolves differently under a different collection or reordering
-// cadence). Everything left is a function of the synthesized program alone,
-// so two reports from the same problem must be identical after
-// normalization — the contract the golden-result test pins.
+// Normalized drops the Telemetry — what legitimately varies between runs of
+// the same synthesis problem. Everything left is a function of the
+// synthesized program alone (witnesses and cost fields included: extraction
+// is deterministic and the costs are exact weighted counts), so two reports
+// from the same problem must be identical after normalization — the
+// contract the golden-result test pins.
 func (r RunReport) Normalized() RunReport {
-	r.BDDNodes = 0
-	// Node-lifetime counters vary with GC and reordering cadence exactly
-	// like BDDNodes does.
-	r.BDDNodesLive, r.BDDPeakNodes, r.BDDGCRuns, r.BDDNodesFreed = 0, 0, 0, 0
-	r.BDDReorderRuns = 0
-	// Scheduler work counters: frontier sizes are node counts and depend on
-	// the variable order, so they move with reordering cadence; rounds and
-	// images are stripped with them — how the fixpoint was computed, not
-	// what it is.
-	r.FixRounds, r.FixImages, r.FixFrontierPeak, r.FixFrontierFinal = 0, 0, 0, 0
-	r.CompileNS, r.Step1NS, r.Step2NS, r.TotalNS, r.VerifyNS = 0, 0, 0, 0, 0
-	r.WitnessNS = 0
-	// Solver work counters are performance telemetry, like the BDD node
-	// counters above; the verdict they accompany is what must be identical.
-	r.SAT = nil
-	// Witnesses stay: extraction is deterministic, so they are part of the
-	// identity the golden-result test asserts. The cost fields stay for the
-	// same reason: exact weighted counts over the synthesized relation, not
-	// telemetry.
+	r.Telemetry = Telemetry{}
 	return r
 }

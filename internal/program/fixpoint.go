@@ -26,30 +26,18 @@ import (
 
 // FixpointStats counts the work of the reachability scheduler across an
 // engine's lifetime. The counters are observability (RunReport fix_* fields,
-// /metrics.json); they are normalized away from reports like the other
-// engine counters. All of them are deterministic.
+// /metrics.json); they are part of a report's Telemetry, which Normalized
+// drops. Both are deterministic.
 type FixpointStats struct {
 	// Rounds is the number of fixpoints run (one scheduler round each).
 	Rounds int64
 	// Images is the number of image/preimage applications (frontier images
 	// only — saturated partitions fire none).
 	Images int64
-	// PeakFrontier is the largest frontier BDD (in nodes) handed to an
-	// image; FinalFrontier is the size of the last non-empty frontier before
-	// convergence.
-	PeakFrontier  int64
-	FinalFrontier int64
 }
 
 // FixpointStats returns the scheduler's cumulative work counters.
 func (e *Engine) FixpointStats() FixpointStats { return e.fix }
-
-// chainStats accumulates one block's scheduler work; merged into Engine.fix.
-type chainStats struct {
-	images int64
-	peak   int64
-	final  int64
-}
 
 // image applies one frontier image (or preimage) through a partition.
 func image(sp *symbolic.Space, front, part bdd.Node, backward bool) bdd.Node {
@@ -62,10 +50,11 @@ func image(sp *symbolic.Space, front, part bdd.Node, backward bool) bdd.Node {
 // chainBlock advances one block of partitions to its block-local fixpoint:
 // starting from the rooted running set local and the given per-partition
 // initial frontiers (fronts[k] = local ∖ seen_global[parts[k]]), it chains
-// frontier images into local until no partition in the block can add states.
-// All nodes are relative to sp's manager; local is updated in place.
+// frontier images into local until no partition in the block can add states,
+// counting each image applied in *images. All nodes are relative to sp's
+// manager; local is updated in place.
 func chainBlock(ctx context.Context, sp *symbolic.Space, local *bdd.Rooted,
-	parts, fronts []bdd.Node, backward bool, st *chainStats) error {
+	parts, fronts []bdd.Node, backward bool, images *int64) error {
 	m := sp.M
 	sc := m.Protect()
 	defer sc.Release()
@@ -93,15 +82,9 @@ func chainBlock(ctx context.Context, sp *symbolic.Space, local *bdd.Rooted,
 				if front == bdd.False {
 					break // saturated until another partition adds states
 				}
-				if n := int64(m.NodeCount(front)); true {
-					if n > st.peak {
-						st.peak = n
-					}
-					st.final = n
-				}
 				seen[k].Set(local.Node())
 				img := image(sp, front, p, backward)
-				st.images++
+				*images++
 				add := m.Diff(img, local.Node())
 				if add == bdd.False {
 					break
@@ -133,22 +116,9 @@ func (e *Engine) fixpoint(ctx context.Context, init bdd.Node, parts []bdd.Node, 
 	for k := range fronts {
 		fronts[k] = reached.Node()
 	}
-	var st chainStats
-	err := chainBlock(ctx, e.C.Space, reached, parts, fronts, backward, &st)
+	err := chainBlock(ctx, e.C.Space, reached, parts, fronts, backward, &e.fix.Images)
 	e.fix.Rounds++
-	e.foldChainStats(st)
 	return reached.Node(), err // sound but incomplete on cancellation
-}
-
-// foldChainStats merges one block's counters into the engine totals.
-func (e *Engine) foldChainStats(st chainStats) {
-	e.fix.Images += st.images
-	if st.peak > e.fix.PeakFrontier {
-		e.fix.PeakFrontier = st.peak
-	}
-	if st.final > 0 {
-		e.fix.FinalFrontier = st.final
-	}
 }
 
 // CyclicCore returns the greatest fixpoint of states in region with a

@@ -34,8 +34,9 @@ func Cautious(ctx context.Context, c *program.Compiled, opts Options) (*Result, 
 	return CautiousEngine(ctx, eng, opts)
 }
 
-// CautiousEngine is Cautious running on a caller-supplied engine, so the
-// engine can be shared with the verifier (see internal/core.Run).
+// CautiousEngine is Cautious running on a caller-supplied engine. core.Run —
+// the one pipeline behind repro.Repair, the commands and the daemon — calls
+// it so the engine and its counters are shared with the verifier.
 func CautiousEngine(ctx context.Context, eng *program.Engine, opts Options) (*Result, error) {
 	opts.ApplyEngine(eng)
 	c := eng.C

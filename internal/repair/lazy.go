@@ -31,8 +31,9 @@ func Lazy(ctx context.Context, c *program.Compiled, opts Options) (*Result, erro
 	return LazyEngine(ctx, eng, opts)
 }
 
-// LazyEngine is Lazy running on a caller-supplied engine, so the engine's
-// engine can be shared with the verifier (see internal/core.Run).
+// LazyEngine is Lazy running on a caller-supplied engine. core.Run — the one
+// pipeline behind repro.Repair, the commands and the daemon — calls it so
+// the engine and its counters are shared with the verifier.
 func LazyEngine(ctx context.Context, eng *program.Engine, opts Options) (*Result, error) {
 	opts.ApplyEngine(eng)
 	c := eng.C

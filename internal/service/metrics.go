@@ -4,9 +4,13 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/sat"
 )
 
 // waitRing retains the most recent queue-wait durations (submission to
@@ -62,221 +66,219 @@ type metrics struct {
 	synthRuns     int64 // actual syntheses executed by workers
 	running       int64 // gauge: jobs currently executing
 
-	compileNS int64 // accumulated per-phase wall time, in nanoseconds
-	step1NS   int64
-	step2NS   int64
-	verifyNS  int64
-	witnessNS int64
-	totalNS   int64
-
-	gcRuns     int64 // BDD collections across all finished jobs
-	nodesFreed int64 // BDD nodes reclaimed across all finished jobs
-	peakNodes  int64 // gauge: largest per-job peak live node count seen
-	liveNodes  int64 // gauge: live node count of the most recent job
-
-	// Fixpoint-scheduler work across all finished jobs (the engine's
-	// frontier-chained scheduler; see internal/program).
-	fixRounds       int64
-	fixImages       int64
-	fixFrontierPeak int64 // gauge: largest frontier BDD seen in any job
-
-	// CDCL solver work across all jobs verified under the SAT backend.
-	satConflicts    int64
-	satDecisions    int64
-	satPropagations int64
-	satLearned      int64
-	satRestarts     int64
-	satMaxLevel     int64 // gauge: deepest decision level seen in any job
+	// runs holds, per metricTable row that folds run telemetry, the total
+	// over every finished synthesis (indexed like metricTable).
+	runs []atomic.Int64
 }
+
+func newMetrics() metrics { return metrics{runs: make([]atomic.Int64, len(metricTable))} }
 
 func (m *metrics) add(p *int64, v int64) { atomic.AddInt64(p, v) }
 func (m *metrics) get(p *int64) int64    { return atomic.LoadInt64(p) }
-func (m *metrics) set(p *int64, v int64) { atomic.StoreInt64(p, v) }
 
-// maxOf raises *p to v if v is larger (lock-free running maximum).
-func (m *metrics) maxOf(p *int64, v int64) {
-	for {
-		cur := atomic.LoadInt64(p)
-		if v <= cur || atomic.CompareAndSwapInt64(p, cur, v) {
-			return
+// addRun counts one finished synthesis and folds its telemetry into every
+// run-fed row of metricTable.
+func (m *metrics) addRun(t *core.Telemetry) {
+	m.add(&m.synthRuns, 1)
+	for i, row := range metricTable {
+		if row.run == nil {
+			continue
+		}
+		p, v := &m.runs[i], row.run(t)
+		switch row.fold {
+		case foldSum:
+			p.Add(v)
+		case foldLast:
+			p.Store(v)
+		case foldMax:
+			for cur := p.Load(); v > cur; cur = p.Load() {
+				if p.CompareAndSwap(cur, v) {
+					break
+				}
+			}
 		}
 	}
 }
 
-// write renders the metrics in the Prometheus text exposition format.
-func (m *metrics) write(w io.Writer, s *Service) {
-	hits, misses := s.cache.Counters()
-	g := func(name string, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	c := func(name string, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
+// fold says how a run-fed metric combines per-run telemetry values.
+type fold int
 
-	c("ftrepaird_jobs_submitted_total", "Jobs accepted for processing.", m.get(&m.submitted))
-	c("ftrepaird_jobs_rejected_total", "Submissions rejected because the queue was full.", m.get(&m.rejected))
-	c("ftrepaird_jobs_shed_total", "Predicted-expensive submissions shed over the queue watermark.", m.get(&m.shed))
-	c("ftrepaird_quota_rejected_total", "Submissions rejected by per-client quotas.", m.get(&m.quotaRejected))
-	c("ftrepaird_jobs_completed_total", "Jobs finished successfully.", m.get(&m.completed))
-	c("ftrepaird_jobs_failed_total", "Jobs finished with an error.", m.get(&m.failed))
-	c("ftrepaird_jobs_cancelled_total", "Jobs cancelled by deadline or client.", m.get(&m.cancelled))
-	c("ftrepaird_synthesis_total", "Repair syntheses actually executed (cache hits excluded).", m.get(&m.synthRuns))
-	c("ftrepaird_cache_hits_total", "Results served from the content-addressed cache.", hits)
-	c("ftrepaird_cache_misses_total", "Cache lookups that required a synthesis.", misses)
-	ratio := 0.0
-	if hits+misses > 0 {
-		ratio = float64(hits) / float64(hits+misses)
-	}
-	fmt.Fprintf(w, "# HELP ftrepaird_cache_hit_ratio Fraction of lookups served from cache.\n"+
-		"# TYPE ftrepaird_cache_hit_ratio gauge\nftrepaird_cache_hit_ratio %g\n", ratio)
+const (
+	foldSum  fold = iota // counter: total over all runs
+	foldMax              // gauge: largest value seen in any run
+	foldLast             // gauge: the most recently finished run's value
+)
 
-	g("ftrepaird_queue_depth", "Jobs waiting in the bounded work queue (both lanes).", int64(s.q.depth()))
-	g("ftrepaird_jobs_running", "Jobs currently being synthesized.", m.get(&m.running))
-	g("ftrepaird_cache_entries", "Entries resident in the result cache.", int64(s.cache.Len()))
-	g("ftrepaird_cache_spill_entries", "Entries resident in the persistent cache spill.", int64(s.cache.SpillLen()))
-	spillHits, spillBad, spillErrs := s.cache.SpillCounters()
-	c("ftrepaird_cache_spill_hits_total", "Memory misses served from the persistent spill.", spillHits)
-	c("ftrepaird_cache_spill_rejected_total", "Spill entries rejected at load (corrupt or mismatched).", spillBad)
-	c("ftrepaird_cache_spill_errors_total", "Failed spill writes (spill is best-effort).", spillErrs)
-	g("ftrepaird_workers", "Size of the worker pool.", int64(s.cfg.Workers))
-	p50, p99 := s.waits.percentiles()
-	g("ftrepaird_queue_wait_p50_ms", "Median queue wait of recent jobs, in milliseconds.", p50.Milliseconds())
-	g("ftrepaird_queue_wait_p99_ms", "99th-percentile queue wait of recent jobs, in milliseconds.", p99.Milliseconds())
-
-	c("ftrepaird_phase_compile_ns_total", "Wall time spent compiling models to BDDs.", m.get(&m.compileNS))
-	c("ftrepaird_phase_step1_ns_total", "Wall time spent in Step 1 (Add-Masking).", m.get(&m.step1NS))
-	c("ftrepaird_phase_step2_ns_total", "Wall time spent in Step 2 (realize).", m.get(&m.step2NS))
-	c("ftrepaird_phase_verify_ns_total", "Wall time spent in independent verification.", m.get(&m.verifyNS))
-	c("ftrepaird_phase_witness_ns_total", "Wall time spent extracting witness traces.", m.get(&m.witnessNS))
-	c("ftrepaird_phase_repair_ns_total", "Wall time spent in repair (Step 1 + Step 2 + outer loop).", m.get(&m.totalNS))
-
-	c("ftrepaird_bdd_gc_runs_total", "BDD garbage collections across finished jobs.", m.get(&m.gcRuns))
-	c("ftrepaird_bdd_nodes_freed_total", "BDD nodes reclaimed across finished jobs.", m.get(&m.nodesFreed))
-	g("ftrepaird_bdd_peak_nodes", "Largest per-job peak live BDD node count observed.", m.get(&m.peakNodes))
-	g("ftrepaird_bdd_live_nodes", "Live BDD node count of the most recently finished job.", m.get(&m.liveNodes))
-
-	c("ftrepaird_fixpoint_rounds_total", "Reachability-scheduler rounds across finished jobs.", m.get(&m.fixRounds))
-	c("ftrepaird_fixpoint_images_total", "Frontier images computed across finished jobs.", m.get(&m.fixImages))
-	g("ftrepaird_fixpoint_frontier_peak_nodes", "Largest frontier BDD (nodes) observed in any job.", m.get(&m.fixFrontierPeak))
-
-	c("ftrepaird_sat_conflicts_total", "CDCL conflicts across jobs verified under the SAT backend.", m.get(&m.satConflicts))
-	c("ftrepaird_sat_decisions_total", "CDCL decisions across jobs verified under the SAT backend.", m.get(&m.satDecisions))
-	c("ftrepaird_sat_propagations_total", "CDCL unit propagations across jobs verified under the SAT backend.", m.get(&m.satPropagations))
-	c("ftrepaird_sat_learned_clauses_total", "Clauses learned across jobs verified under the SAT backend.", m.get(&m.satLearned))
-	c("ftrepaird_sat_restarts_total", "CDCL restarts across jobs verified under the SAT backend.", m.get(&m.satRestarts))
-	g("ftrepaird_sat_max_decision_level", "Deepest CDCL decision level observed in any job.", m.get(&m.satMaxLevel))
+// metric is one row of metricTable.
+type metric struct {
+	name string // Prometheus series name
+	key  string // /metrics.json key
+	kind string // Prometheus type: "counter" or "gauge"
+	help string
+	// Exactly one of read and run is set. read samples service state at
+	// render time; run extracts a finished synthesis's telemetry value,
+	// which addRun folds into the service total as fold says.
+	read func(s *Service) float64
+	run  func(t *core.Telemetry) int64
+	fold fold
 }
 
-// MetricsSnapshot is the JSON shape of GET /metrics.json: the same counters
-// and gauges as the Prometheus text endpoint, for tooling that prefers a
+// count and gauge build rows that sample service state; sum, peak and last
+// build rows fed by run telemetry.
+func count(name, key, help string, read func(*Service) float64) metric {
+	return metric{name: name, key: key, kind: "counter", help: help, read: read}
+}
+
+func gauge(name, key, help string, read func(*Service) float64) metric {
+	return metric{name: name, key: key, kind: "gauge", help: help, read: read}
+}
+
+func sum(name, key, help string, run func(*core.Telemetry) int64) metric {
+	return metric{name: name, key: key, kind: "counter", help: help, run: run, fold: foldSum}
+}
+
+func peak(name, key, help string, run func(*core.Telemetry) int64) metric {
+	return metric{name: name, key: key, kind: "gauge", help: help, run: run, fold: foldMax}
+}
+
+func last(name, key, help string, run func(*core.Telemetry) int64) metric {
+	return metric{name: name, key: key, kind: "gauge", help: help, run: run, fold: foldLast}
+}
+
+// load reads one counter atomically, as a sample value.
+func load(p *int64) float64 { return float64(atomic.LoadInt64(p)) }
+
+// satOf returns the run's solver counters (zero unless it verified under the
+// SAT backend).
+func satOf(t *core.Telemetry) sat.Stats {
+	if t.SAT == nil {
+		return sat.Stats{}
+	}
+	return *t.SAT
+}
+
+// metricTable is the one list of the service's metrics: the Prometheus text
+// at /metrics and the JSON at /metrics.json are both rendered from it, in
+// this order, and addRun folds run telemetry through it.
+var metricTable = []metric{
+	count("ftrepaird_jobs_submitted_total", "submitted", "Jobs accepted for processing.",
+		func(s *Service) float64 { return load(&s.metrics.submitted) }),
+	count("ftrepaird_jobs_rejected_total", "rejected", "Submissions rejected because the queue was full.",
+		func(s *Service) float64 { return load(&s.metrics.rejected) }),
+	count("ftrepaird_jobs_shed_total", "shed", "Predicted-expensive submissions shed over the queue watermark.",
+		func(s *Service) float64 { return load(&s.metrics.shed) }),
+	count("ftrepaird_quota_rejected_total", "quota_rejected", "Submissions rejected by per-client quotas.",
+		func(s *Service) float64 { return load(&s.metrics.quotaRejected) }),
+	count("ftrepaird_jobs_completed_total", "completed", "Jobs finished successfully.",
+		func(s *Service) float64 { return load(&s.metrics.completed) }),
+	count("ftrepaird_jobs_failed_total", "failed", "Jobs finished with an error.",
+		func(s *Service) float64 { return load(&s.metrics.failed) }),
+	count("ftrepaird_jobs_cancelled_total", "cancelled", "Jobs cancelled by deadline or client.",
+		func(s *Service) float64 { return load(&s.metrics.cancelled) }),
+	count("ftrepaird_synthesis_total", "synthesis_runs", "Repair syntheses actually executed (cache hits excluded).",
+		func(s *Service) float64 { return load(&s.metrics.synthRuns) }),
+	count("ftrepaird_cache_hits_total", "cache_hits", "Results served from the content-addressed cache.",
+		func(s *Service) float64 { hits, _ := s.cache.Counters(); return float64(hits) }),
+	count("ftrepaird_cache_misses_total", "cache_misses", "Cache lookups that required a synthesis.",
+		func(s *Service) float64 { _, misses := s.cache.Counters(); return float64(misses) }),
+	gauge("ftrepaird_cache_hit_ratio", "cache_hit_rate", "Fraction of lookups served from cache.",
+		func(s *Service) float64 {
+			hits, misses := s.cache.Counters()
+			if hits+misses == 0 {
+				return 0
+			}
+			return float64(hits) / float64(hits+misses)
+		}),
+
+	gauge("ftrepaird_queue_depth", "queue_depth", "Jobs waiting in the bounded work queue (both lanes).",
+		func(s *Service) float64 { return float64(s.q.depth()) }),
+	gauge("ftrepaird_jobs_running", "running", "Jobs currently being synthesized.",
+		func(s *Service) float64 { return load(&s.metrics.running) }),
+	gauge("ftrepaird_cache_entries", "cache_entries", "Entries resident in the result cache.",
+		func(s *Service) float64 { return float64(s.cache.Len()) }),
+	gauge("ftrepaird_cache_spill_entries", "cache_spill_entries", "Entries resident in the persistent cache spill.",
+		func(s *Service) float64 { return float64(s.cache.SpillLen()) }),
+	count("ftrepaird_cache_spill_hits_total", "cache_spill_hits", "Memory misses served from the persistent spill.",
+		func(s *Service) float64 { hits, _, _ := s.cache.SpillCounters(); return float64(hits) }),
+	count("ftrepaird_cache_spill_rejected_total", "cache_spill_rejected", "Spill entries rejected at load (corrupt or mismatched).",
+		func(s *Service) float64 { _, bad, _ := s.cache.SpillCounters(); return float64(bad) }),
+	count("ftrepaird_cache_spill_errors_total", "cache_spill_errors", "Failed spill writes (spill is best-effort).",
+		func(s *Service) float64 { _, _, errs := s.cache.SpillCounters(); return float64(errs) }),
+	gauge("ftrepaird_workers", "workers", "Size of the worker pool.",
+		func(s *Service) float64 { return float64(s.cfg.Workers) }),
+	gauge("ftrepaird_queue_wait_p50_ms", "queue_wait_p50_ms", "Median queue wait of recent jobs, in milliseconds.",
+		func(s *Service) float64 { p50, _ := s.waits.percentiles(); return float64(p50.Milliseconds()) }),
+	gauge("ftrepaird_queue_wait_p99_ms", "queue_wait_p99_ms", "99th-percentile queue wait of recent jobs, in milliseconds.",
+		func(s *Service) float64 { _, p99 := s.waits.percentiles(); return float64(p99.Milliseconds()) }),
+
+	sum("ftrepaird_phase_compile_ns_total", "compile_ns", "Wall time spent compiling models to BDDs.",
+		func(t *core.Telemetry) int64 { return t.CompileNS }),
+	sum("ftrepaird_phase_step1_ns_total", "step1_ns", "Wall time spent in Step 1 (Add-Masking).",
+		func(t *core.Telemetry) int64 { return t.Step1NS }),
+	sum("ftrepaird_phase_step2_ns_total", "step2_ns", "Wall time spent in Step 2 (realize).",
+		func(t *core.Telemetry) int64 { return t.Step2NS }),
+	sum("ftrepaird_phase_verify_ns_total", "verify_ns", "Wall time spent in independent verification.",
+		func(t *core.Telemetry) int64 { return t.VerifyNS }),
+	sum("ftrepaird_phase_witness_ns_total", "witness_ns", "Wall time spent extracting witness traces.",
+		func(t *core.Telemetry) int64 { return t.WitnessNS }),
+	sum("ftrepaird_phase_repair_ns_total", "total_ns", "Wall time spent in repair (Step 1 + Step 2 + outer loop).",
+		func(t *core.Telemetry) int64 { return t.TotalNS }),
+
+	sum("ftrepaird_bdd_gc_runs_total", "bdd_gc_runs", "BDD garbage collections across finished jobs.",
+		func(t *core.Telemetry) int64 { return t.BDDGCRuns }),
+	sum("ftrepaird_bdd_nodes_freed_total", "bdd_nodes_freed", "BDD nodes reclaimed across finished jobs.",
+		func(t *core.Telemetry) int64 { return t.BDDNodesFreed }),
+	peak("ftrepaird_bdd_peak_nodes", "bdd_peak_nodes", "Largest per-job peak live BDD node count observed.",
+		func(t *core.Telemetry) int64 { return t.BDDPeakNodes }),
+	last("ftrepaird_bdd_live_nodes", "bdd_live_nodes", "Live BDD node count of the most recently finished job.",
+		func(t *core.Telemetry) int64 { return t.BDDNodesLive }),
+
+	sum("ftrepaird_fixpoint_rounds_total", "fix_rounds", "Reachability-scheduler rounds across finished jobs.",
+		func(t *core.Telemetry) int64 { return t.FixRounds }),
+	sum("ftrepaird_fixpoint_images_total", "fix_images", "Frontier images computed across finished jobs.",
+		func(t *core.Telemetry) int64 { return t.FixImages }),
+
+	sum("ftrepaird_sat_conflicts_total", "sat_conflicts", "CDCL conflicts across jobs verified under the SAT backend.",
+		func(t *core.Telemetry) int64 { return satOf(t).Conflicts }),
+	sum("ftrepaird_sat_decisions_total", "sat_decisions", "CDCL decisions across jobs verified under the SAT backend.",
+		func(t *core.Telemetry) int64 { return satOf(t).Decisions }),
+	sum("ftrepaird_sat_propagations_total", "sat_propagations", "CDCL unit propagations across jobs verified under the SAT backend.",
+		func(t *core.Telemetry) int64 { return satOf(t).Propagations }),
+	sum("ftrepaird_sat_learned_clauses_total", "sat_learned_clauses", "Clauses learned across jobs verified under the SAT backend.",
+		func(t *core.Telemetry) int64 { return satOf(t).Learned }),
+	sum("ftrepaird_sat_restarts_total", "sat_restarts", "CDCL restarts across jobs verified under the SAT backend.",
+		func(t *core.Telemetry) int64 { return satOf(t).Restarts }),
+	peak("ftrepaird_sat_max_decision_level", "sat_max_decision_level", "Deepest CDCL decision level observed in any job.",
+		func(t *core.Telemetry) int64 { return satOf(t).MaxLevel }),
+}
+
+// metricValue samples row i of metricTable.
+func (s *Service) metricValue(i int) float64 {
+	if read := metricTable[i].read; read != nil {
+		return read(s)
+	}
+	return float64(s.metrics.runs[i].Load())
+}
+
+// writeMetrics renders metricTable in the Prometheus text exposition format.
+func (s *Service) writeMetrics(w io.Writer) {
+	for i, m := range metricTable {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %s\n", m.name, m.help, m.name, m.kind,
+			m.name, strconv.FormatFloat(s.metricValue(i), 'f', -1, 64))
+	}
+}
+
+// MetricsSnapshot is the JSON shape of GET /metrics.json: every metric of the
+// Prometheus text endpoint under its JSON key (submitted, synthesis_runs,
+// cache_hit_rate, compile_ns, fix_images, ...), for tooling that prefers a
 // structured read (dashboards, tests, jq one-liners).
-type MetricsSnapshot struct {
-	Submitted     int64 `json:"submitted"`
-	Rejected      int64 `json:"rejected"`
-	Shed          int64 `json:"shed"`
-	QuotaRejected int64 `json:"quota_rejected"`
-	Completed     int64 `json:"completed"`
-	Failed        int64 `json:"failed"`
-	Cancelled     int64 `json:"cancelled"`
-	SynthRuns     int64 `json:"synthesis_runs"`
-	Running       int64 `json:"running"`
-
-	CacheHits    int64 `json:"cache_hits"`
-	CacheMisses  int64 `json:"cache_misses"`
-	CacheEntries int   `json:"cache_entries"`
-	// CacheHitRate is hits/(hits+misses) over the daemon's lifetime; 0 when
-	// no lookup has happened yet.
-	CacheHitRate  float64 `json:"cache_hit_rate"`
-	SpillEntries  int     `json:"cache_spill_entries"`
-	SpillHits     int64   `json:"cache_spill_hits"`
-	SpillRejected int64   `json:"cache_spill_rejected"`
-	SpillErrors   int64   `json:"cache_spill_errors"`
-	QueueDepth    int     `json:"queue_depth"`
-	// Queue-wait percentiles over a ring of recent jobs (submission to
-	// worker pickup), in milliseconds.
-	QueueWaitP50MS int64 `json:"queue_wait_p50_ms"`
-	QueueWaitP99MS int64 `json:"queue_wait_p99_ms"`
-	Workers        int   `json:"workers"`
-
-	CompileNS int64 `json:"compile_ns"`
-	Step1NS   int64 `json:"step1_ns"`
-	Step2NS   int64 `json:"step2_ns"`
-	VerifyNS  int64 `json:"verify_ns"`
-	WitnessNS int64 `json:"witness_ns"`
-	TotalNS   int64 `json:"total_ns"`
-
-	BDDGCRuns     int64 `json:"bdd_gc_runs"`
-	BDDNodesFreed int64 `json:"bdd_nodes_freed"`
-	BDDPeakNodes  int64 `json:"bdd_peak_nodes"`
-	BDDLiveNodes  int64 `json:"bdd_live_nodes"`
-
-	FixRounds       int64 `json:"fix_rounds"`
-	FixImages       int64 `json:"fix_images"`
-	FixFrontierPeak int64 `json:"fix_frontier_peak"`
-
-	SATConflicts    int64 `json:"sat_conflicts"`
-	SATDecisions    int64 `json:"sat_decisions"`
-	SATPropagations int64 `json:"sat_propagations"`
-	SATLearned      int64 `json:"sat_learned_clauses"`
-	SATRestarts     int64 `json:"sat_restarts"`
-	SATMaxLevel     int64 `json:"sat_max_decision_level"`
-}
+type MetricsSnapshot map[string]float64
 
 // Metrics snapshots the service's counters and gauges.
 func (s *Service) Metrics() MetricsSnapshot {
-	m := &s.metrics
-	hits, misses := s.cache.Counters()
-	spillHits, spillBad, spillErrs := s.cache.SpillCounters()
-	hitRate := 0.0
-	if hits+misses > 0 {
-		hitRate = float64(hits) / float64(hits+misses)
+	snap := make(MetricsSnapshot, len(metricTable))
+	for i, m := range metricTable {
+		snap[m.key] = s.metricValue(i)
 	}
-	p50, p99 := s.waits.percentiles()
-	return MetricsSnapshot{
-		Submitted:     m.get(&m.submitted),
-		Rejected:      m.get(&m.rejected),
-		Shed:          m.get(&m.shed),
-		QuotaRejected: m.get(&m.quotaRejected),
-		Completed:     m.get(&m.completed),
-		Failed:        m.get(&m.failed),
-		Cancelled:     m.get(&m.cancelled),
-		SynthRuns:     m.get(&m.synthRuns),
-		Running:       m.get(&m.running),
-
-		CacheHits:      hits,
-		CacheMisses:    misses,
-		CacheEntries:   s.cache.Len(),
-		CacheHitRate:   hitRate,
-		SpillEntries:   s.cache.SpillLen(),
-		SpillHits:      spillHits,
-		SpillRejected:  spillBad,
-		SpillErrors:    spillErrs,
-		QueueDepth:     s.q.depth(),
-		QueueWaitP50MS: p50.Milliseconds(),
-		QueueWaitP99MS: p99.Milliseconds(),
-		Workers:        s.cfg.Workers,
-
-		CompileNS: m.get(&m.compileNS),
-		Step1NS:   m.get(&m.step1NS),
-		Step2NS:   m.get(&m.step2NS),
-		VerifyNS:  m.get(&m.verifyNS),
-		WitnessNS: m.get(&m.witnessNS),
-		TotalNS:   m.get(&m.totalNS),
-
-		BDDGCRuns:     m.get(&m.gcRuns),
-		BDDNodesFreed: m.get(&m.nodesFreed),
-		BDDPeakNodes:  m.get(&m.peakNodes),
-		BDDLiveNodes:  m.get(&m.liveNodes),
-
-		FixRounds:       m.get(&m.fixRounds),
-		FixImages:       m.get(&m.fixImages),
-		FixFrontierPeak: m.get(&m.fixFrontierPeak),
-
-		SATConflicts:    m.get(&m.satConflicts),
-		SATDecisions:    m.get(&m.satDecisions),
-		SATPropagations: m.get(&m.satPropagations),
-		SATLearned:      m.get(&m.satLearned),
-		SATRestarts:     m.get(&m.satRestarts),
-		SATMaxLevel:     m.get(&m.satMaxLevel),
-	}
+	return snap
 }

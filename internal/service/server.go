@@ -292,7 +292,7 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.write(w, s)
+	s.writeMetrics(w)
 }
 
 func (s *Service) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {

@@ -180,6 +180,7 @@ func New(cfg Config) *Service {
 		stop:     stop,
 		q:        newQueue(cfg.QueueDepth),
 		cache:    cache,
+		metrics:  newMetrics(),
 		quotas:   newQuotas(cfg.QuotaRate, cfg.QuotaBurst),
 		jobs:     make(map[string]*job),
 		inflight: make(map[string]*job),
@@ -452,28 +453,7 @@ func (s *Service) run(j *job) {
 		s.finishFailed(j, err)
 	default:
 		report := core.NewRunReport(j.coreJob, out, j.spec.Case, j.spec.N)
-		s.metrics.add(&s.metrics.synthRuns, 1)
-		s.metrics.add(&s.metrics.compileNS, report.CompileNS)
-		s.metrics.add(&s.metrics.step1NS, report.Step1NS)
-		s.metrics.add(&s.metrics.step2NS, report.Step2NS)
-		s.metrics.add(&s.metrics.verifyNS, report.VerifyNS)
-		s.metrics.add(&s.metrics.witnessNS, report.WitnessNS)
-		s.metrics.add(&s.metrics.totalNS, report.TotalNS)
-		s.metrics.add(&s.metrics.gcRuns, report.BDDGCRuns)
-		s.metrics.add(&s.metrics.nodesFreed, report.BDDNodesFreed)
-		s.metrics.maxOf(&s.metrics.peakNodes, report.BDDPeakNodes)
-		s.metrics.set(&s.metrics.liveNodes, report.BDDNodesLive)
-		s.metrics.add(&s.metrics.fixRounds, report.FixRounds)
-		s.metrics.add(&s.metrics.fixImages, report.FixImages)
-		s.metrics.maxOf(&s.metrics.fixFrontierPeak, report.FixFrontierPeak)
-		if st := report.SAT; st != nil {
-			s.metrics.add(&s.metrics.satConflicts, st.Conflicts)
-			s.metrics.add(&s.metrics.satDecisions, st.Decisions)
-			s.metrics.add(&s.metrics.satPropagations, st.Propagations)
-			s.metrics.add(&s.metrics.satLearned, st.Learned)
-			s.metrics.add(&s.metrics.satRestarts, st.Restarts)
-			s.metrics.maxOf(&s.metrics.satMaxLevel, int64(st.MaxLevel))
-		}
+		s.metrics.addRun(&report.Telemetry)
 		// Publish to the cache BEFORE waking followers and clearing the
 		// in-flight slot, so anyone released by either always finds it.
 		s.cache.Put(j.key, report)

@@ -154,8 +154,8 @@ func TestE2ESpillRestartServesWithoutRecompute(t *testing.T) {
 	if again.Result == nil || again.Result.Model != first.Result.Model {
 		t.Fatal("spill-served report does not match the computed one")
 	}
-	if m := svc2.Metrics(); m.SynthRuns != 0 || m.SpillHits == 0 {
-		t.Fatalf("restart recomputed: synth_runs=%d spill_hits=%d", m.SynthRuns, m.SpillHits)
+	if m := svc2.Metrics(); m["synthesis_runs"] != 0 || m["cache_spill_hits"] == 0 {
+		t.Fatalf("restart recomputed: synth_runs=%v spill_hits=%v", m["synthesis_runs"], m["cache_spill_hits"])
 	}
 }
 
@@ -194,10 +194,10 @@ func TestE2ECorruptSpillRecomputed(t *testing.T) {
 		t.Fatalf("recompute failed: %s", redone.Error)
 	}
 	m := svc2.Metrics()
-	if m.SpillRejected == 0 {
+	if m["cache_spill_rejected"] == 0 {
 		t.Fatal("corrupt entry was not counted as rejected")
 	}
-	if m.SynthRuns == 0 {
+	if m["synthesis_runs"] == 0 {
 		t.Fatal("no synthesis ran — where did the result come from?")
 	}
 }

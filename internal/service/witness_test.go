@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -66,7 +68,7 @@ func TestJobEmbedsCertifiedWitnesses(t *testing.T) {
 	if final.Result.WitnessNS <= 0 {
 		t.Fatal("witness extraction time not recorded")
 	}
-	if m := s.Metrics(); m.WitnessNS <= 0 {
+	if m := s.Metrics(); m["witness_ns"] <= 0 {
 		t.Fatalf("witness time missing from metrics: %+v", m)
 	}
 
@@ -86,7 +88,9 @@ func TestJobEmbedsCertifiedWitnesses(t *testing.T) {
 }
 
 // TestMetricsJSONEndpoint checks /metrics.json serves the structured
-// snapshot alongside the Prometheus text exposition at /metrics.
+// snapshot alongside the Prometheus text exposition at /metrics, and that
+// after a synthesis every ftrepaird_* sample equals the JSON field the
+// metrics table pairs it with.
 func TestMetricsJSONEndpoint(t *testing.T) {
 	base, s, shutdown := bootDaemon(t, Config{Workers: 1, QueueDepth: 4})
 	defer shutdown()
@@ -114,22 +118,43 @@ func TestMetricsJSONEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
-	if snap.Submitted < 1 || snap.Completed < 1 || snap.Workers != 1 {
+	if snap["submitted"] < 1 || snap["completed"] < 1 || snap["workers"] != 1 {
 		t.Fatalf("snapshot inconsistent: %+v", snap)
 	}
-	if snap.WitnessNS <= 0 {
-		t.Fatalf("witness phase time missing from snapshot: %+v", snap)
+	if snap["witness_ns"] <= 0 || snap["compile_ns"] <= 0 || snap["fix_images"] <= 0 {
+		t.Fatalf("run telemetry missing from snapshot: %+v", snap)
 	}
 
-	// The text exposition must carry the same witness counter.
 	resp2, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp2.Body.Close()
 	text, _ := io.ReadAll(resp2.Body)
-	if !containsLine(string(text), "ftrepaird_phase_witness_ns_total") {
-		t.Fatalf("Prometheus exposition misses witness counter:\n%s", text)
+	samples := map[string]float64{}
+	for _, line := range splitLines(string(text)) {
+		name, val, ok := strings.Cut(line, " ")
+		if !ok || !strings.HasPrefix(name, "ftrepaird_") {
+			continue
+		}
+		f, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		samples[name] = f
+	}
+	if len(samples) != len(metricTable) || len(snap) != len(metricTable) {
+		t.Fatalf("%d samples and %d JSON keys for %d table rows", len(samples), len(snap), len(metricTable))
+	}
+	for _, m := range metricTable {
+		got, ok := samples[m.name]
+		if !ok {
+			t.Errorf("Prometheus exposition misses %s", m.name)
+			continue
+		}
+		if want, ok := snap[m.key]; !ok || got != want {
+			t.Errorf("%s = %v, but /metrics.json %s = %v (present %t)", m.name, got, m.key, want, ok)
+		}
 	}
 }
 
