@@ -55,10 +55,11 @@ func WithAlgorithm(a Algorithm) Option {
 }
 
 // EngineConfig consolidates every engine-tuning knob behind one struct: the
-// node-lifetime knobs (budget, GC cadence, reordering cadence) and the
-// verification backend. The zero value of every field selects its default
-// (unbounded nodes, default cadences, BDD backend), so callers set only what
-// they mean.
+// node-lifetime knobs (budget, reordering cadence) and the verification
+// backend. The zero value of every field selects its default (unbounded
+// nodes, default reordering cadence, BDD backend), so callers set only what
+// they mean. The collection cadence is the manager's own (REPRO_GC_STRESS
+// forces it to every safe point for stress tests).
 type EngineConfig struct {
 	// Workers sized one of the removed multi-worker engines. Only 0 and 1
 	// are accepted; any other value makes Repair and Verify fail.
@@ -68,10 +69,6 @@ type EngineConfig struct {
 	// NodeBudget, when positive, bounds the live BDD node count; a blown
 	// budget fails the run with *BudgetError instead of exhausting memory.
 	NodeBudget int64
-	// GCThreshold overrides the automatic-collection cadence: positive
-	// collects after that many allocations, negative disables automatic
-	// collection, 0 keeps the default.
-	GCThreshold int64
 	// Reorder arms dynamic variable reordering with the given allocation
 	// cadence; negative disables it, 0 keeps the default.
 	Reorder int64
@@ -89,7 +86,6 @@ func WithEngine(ec EngineConfig) Option {
 	return func(c *repairConfig) {
 		c.opts.Workers = ec.Workers
 		c.opts.NodeBudget = ec.NodeBudget
-		c.opts.GCThreshold = ec.GCThreshold
 		c.opts.Reorder = ec.Reorder
 		c.backend = ec.Backend
 	}

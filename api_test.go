@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -111,40 +112,75 @@ func TestVerifyBudgetError(t *testing.T) {
 	}
 }
 
-// TestRepairWithCostModel drives the cost-carrying API end to end: a costed
-// run must verify exactly like an uncosted one, report exact weighted counts,
-// and achieve no more cost than the cost-blind synthesis under the same
-// weights (measured here by re-pricing the uncosted result's transitions).
+// TestRepairWithCostModel checks the cost contract on a quick ladder. Each
+// instance runs twice under unit weights: a baseline arm that prices the
+// synthesis but leaves it cost-blind, and a WithCostModel arm that minimises.
+// The arms must reach identical verdicts, the minimising arm must achieve no
+// more cost than the baseline, and it must achieve strictly less on at least
+// one instance — otherwise the minimisation did nothing.
 func TestRepairWithCostModel(t *testing.T) {
-	def, err := CaseStudy("ba", 3)
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	unit := CostModel{Default: 1}
+	baseline := DefaultOptions()
+	baseline.Costs = &unit
+	improved := false
+	for _, tc := range []struct {
+		name string
+		n    int
+	}{{"ba", 3}, {"bafs", 2}, {"sc", 8}, {"ring", 2}, {"tmr", 0}} {
+		t.Run(fmt.Sprintf("%s%d", tc.name, tc.n), func(t *testing.T) {
+			var results [2]*Result
+			var reports [2]*Report
+			for i, opt := range []Option{WithOptions(baseline), WithCostModel(unit)} {
+				def, err := CaseStudy(tc.name, tc.n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c, res, err := Repair(ctx, def, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Costed || res.AchievedCost < 0 {
+					t.Fatalf("arm %d reported Costed=%t AchievedCost=%g", i, res.Costed, res.AchievedCost)
+				}
+				if i == 0 {
+					// Under unit weights the baseline's achieved cost is its
+					// recovery transition count.
+					m := c.Space.M
+					if n := CountTransitions(c, m.AndN(res.Trans, m.Not(res.Invariant), c.Space.ValidTrans())); res.AchievedCost != n {
+						t.Errorf("baseline achieved cost %g, want its %g recovery transitions", res.AchievedCost, n)
+					}
+				}
+				rep, err := Verify(ctx, c, res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				results[i], reports[i] = res, rep
+			}
+			base, min := reports[0], reports[1]
+			if !min.OK() {
+				t.Fatalf("costed repair fails verification:\n%s", min)
+			}
+			if len(base.Checks) != len(min.Checks) {
+				t.Fatalf("check counts differ: baseline %d, mincost %d", len(base.Checks), len(min.Checks))
+			}
+			for i, bc := range base.Checks {
+				if mc := min.Checks[i]; bc.Name != mc.Name || bc.OK != mc.OK {
+					t.Errorf("verdicts differ: baseline %q ok=%t, mincost %q ok=%t", bc.Name, bc.OK, mc.Name, mc.OK)
+				}
+			}
+			baseCost, minCost := results[0].AchievedCost, results[1].AchievedCost
+			t.Logf("achieved cost: baseline %g, mincost %g", baseCost, minCost)
+			if minCost > baseCost {
+				t.Errorf("mincost achieved %g > baseline %g", minCost, baseCost)
+			}
+			if minCost < baseCost {
+				improved = true
+			}
+		})
 	}
-	c, res, err := Repair(context.Background(), def, WithCostModel(CostModel{Default: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Costed || res.AchievedCost <= 0 {
-		t.Fatalf("costed run reported Costed=%t AchievedCost=%g", res.Costed, res.AchievedCost)
-	}
-	rep, err := Verify(context.Background(), c, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK() {
-		t.Fatalf("costed repair fails verification:\n%s", rep)
-	}
-
-	blindDef, _ := CaseStudy("ba", 3)
-	bc, blind, err := Repair(context.Background(), blindDef)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Under unit weights the cost-blind achieved cost is its recovery
-	// transition count; the minimizing run must not exceed it.
-	blindCost := CountTransitions(bc, bc.Space.M.AndN(blind.Trans, bc.Space.M.Not(blind.Invariant), bc.Space.ValidTrans()))
-	if res.AchievedCost > blindCost {
-		t.Fatalf("cost-aware achieved %g > cost-blind %g", res.AchievedCost, blindCost)
+	if !improved {
+		t.Error("cost-aware synthesis improved no instance")
 	}
 }
 

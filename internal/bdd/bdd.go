@@ -410,11 +410,6 @@ func (m *Manager) growUnique(capacity uint64) {
 	}
 }
 
-// ClearCaches drops all memoized operation results. Node storage is kept.
-//
-// Deprecated: use FlushCaches.
-func (m *Manager) ClearCaches() { m.FlushCaches() }
-
 // FlushCaches drops all memoized operation results — the direct-mapped ITE,
 // binary, unary and relational-product caches plus the sat-count memo. Node
 // storage is kept. Useful between phases of a long-running synthesis to

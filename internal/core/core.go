@@ -85,8 +85,7 @@ type Outcome struct {
 // boundary with an error wrapping ctx.Err().
 //
 // Run is the one pipeline every caller goes through: repro.Repair, the
-// ftrepair and tables commands, the ftrepaird daemon, and benchjson. It is
-// also the run boundary that turns a blown node budget back into an error.
+// ftrepair and tables commands, and the ftrepaird daemon. It is also the run boundary that turns a blown node budget back into an error.
 // One engine is built per run and shared between the synthesis and the
 // verifier, so the verifier's fixpoint counters add to the synthesis's.
 func Run(ctx context.Context, job Job) (out *Outcome, err error) {

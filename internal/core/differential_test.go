@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
+	"repro/internal/expr"
 	"repro/internal/program"
 	"repro/internal/repair"
+	"repro/internal/symbolic"
 	"repro/internal/verify"
 	"repro/internal/witness"
 )
@@ -78,6 +81,23 @@ func TestBackendsAgree(t *testing.T) {
 			}
 		})
 	}
+	// Deep counterexample: the unrepaired swap model, whose bad set lies
+	// n(n-1)/2 steps from its invariant. Both backends must find a shortest
+	// counterexample — BDD reachability after that many frontier layers, SAT
+	// after unrolling that many frames.
+	t.Run("swap5", func(t *testing.T) {
+		const n = 5
+		c, err := swapDef(n).Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		orig := &repair.Result{Trans: c.Trans, Invariant: c.Invariant, FaultSpan: c.Space.ValidCur()}
+		for i, rep := range verifyBoth(t, c, orig) {
+			if got, want := badStateDepth(rep), n*(n-1)/2; got != want {
+				t.Errorf("%s backend: counterexample depth %d, want %d", []string{"BDD", "SAT"}[i], got, want)
+			}
+		}
+	})
 	if solverWork == 0 {
 		t.Error("SAT backend recorded no solver work across the whole ladder")
 	}
@@ -154,4 +174,47 @@ func hasWitness(rep *verify.Report, name string) bool {
 		}
 	}
 	return false
+}
+
+// badStateDepth returns the step count of the "no reachable bad state"
+// witness, or -1 when that check carries none.
+func badStateDepth(rep *verify.Report) int {
+	for _, ck := range rep.Checks {
+		if ck.Name == "no reachable bad state" && ck.Witness != nil {
+			return len(ck.Witness.Steps) - 1
+		}
+	}
+	return -1
+}
+
+// swapDef builds the deep-counterexample model: n variables over domain n,
+// starting as the identity permutation, with one process that may swap any
+// adjacent pair (simultaneous copy of each into the other). The bad set is
+// the reversed permutation, whose shortest derivation is n(n-1)/2 adjacent
+// transpositions — every inversion must be introduced by its own swap — so
+// the counterexample depth grows quadratically while the state space stays
+// tiny.
+func swapDef(n int) *program.Def {
+	d := &program.Def{Name: fmt.Sprintf("swap-%d", n)}
+	v := func(i int) string { return fmt.Sprintf("v%d", i) }
+	var names []string
+	var identity, reversed []expr.Expr
+	for i := 0; i < n; i++ {
+		d.Vars = append(d.Vars, symbolic.VarSpec{Name: v(i), Domain: n})
+		names = append(names, v(i))
+		identity = append(identity, expr.Eq(v(i), i))
+		reversed = append(reversed, expr.Eq(v(i), n-1-i))
+	}
+	proc := &program.Process{Name: "swapper", Read: names, Write: names}
+	for i := 0; i+1 < n; i++ {
+		proc.Actions = append(proc.Actions, program.Action{
+			Name:    fmt.Sprintf("swap-%d", i),
+			Guard:   expr.True,
+			Updates: []program.Update{program.Copy(v(i), v(i+1)), program.Copy(v(i+1), v(i))},
+		})
+	}
+	d.Processes = []*program.Process{proc}
+	d.Invariant = expr.And(identity...)
+	d.BadStates = expr.And(reversed...)
+	return d
 }

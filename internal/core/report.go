@@ -10,8 +10,8 @@ import (
 // table columns (reachable states, Step 1 / Step 2 / total times, BDD nodes)
 // plus the verification verdict. It is the single JSON encoding shared by
 // `ftrepair -json` and its text printer, the ftrepaird daemon's job results
-// and metrics, the golden-result test, and the benchjson perf snapshots, so
-// downstream tooling parses one shape everywhere.
+// and metrics, the golden-result test, and the committed BENCH_*.json
+// records, so downstream tooling parses one shape everywhere.
 //
 // Its fields split in two. The embedded Telemetry says how the run was
 // computed (times, node and scheduler counters, solver effort) and is dropped

@@ -7,10 +7,9 @@ import (
 	"repro/internal/bdd"
 )
 
-// Engine runs the symbolic work of one job — the reachability fixpoints and
-// the per-process fan-outs — on a compiled program's manager. It is serial:
-// BDD managers are single-threaded, and parallelism lives at job level (the
-// daemon's worker pool runs one engine per job).
+// Engine runs the reachability fixpoints of one job on a compiled program's
+// manager. It is serial: BDD managers are single-threaded, and parallelism
+// lives at job level (the daemon's worker pool runs one engine per job).
 type Engine struct {
 	// C is the compiled program; all results live in its manager.
 	C *Compiled
@@ -54,40 +53,6 @@ func (e *Engine) Mode() Mode { return "" }
 //
 // Deprecated: the engine is serial.
 func (e *Engine) Workers() int { return 1 }
-
-// MapNodes evaluates fn once per task and returns the results in task order.
-// shared is one predicate every task reads; inputs[task] is the task's own
-// predicate.
-func (e *Engine) MapNodes(ctx context.Context, shared bdd.Node, inputs []bdd.Node,
-	fn func(c *Compiled, shared, input bdd.Node, task int) bdd.Node) ([]bdd.Node, error) {
-	// shared, the remaining inputs, and the already-produced results all
-	// outlive the arbitrarily large fn calls in between — root them.
-	sc := e.C.Space.M.Protect()
-	defer sc.Release()
-	sc.Keep(shared)
-	for _, in := range inputs {
-		sc.Keep(in)
-	}
-	out := make([]bdd.Node, len(inputs))
-	for i, in := range inputs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		out[i] = sc.Keep(fn(e.C, shared, in, i))
-	}
-	return out, nil
-}
-
-// MapProcs evaluates fn once per process of the program against a shared
-// predicate — the shape of the per-process group-closure fan-outs (Step 2's
-// maximal realizable subsets, the verifier's per-process checks).
-func (e *Engine) MapProcs(ctx context.Context, shared bdd.Node,
-	fn func(c *Compiled, j int, shared bdd.Node) bdd.Node) ([]bdd.Node, error) {
-	inputs := make([]bdd.Node, len(e.C.Procs)) // placeholders; tasks are indexed by process
-	return e.MapNodes(ctx, shared, inputs, func(c *Compiled, sh, _ bdd.Node, j int) bdd.Node {
-		return fn(c, j, sh)
-	})
-}
 
 // ReachableParts computes the forward reachability fixpoint of init under the
 // partitioned transition relation, via the frontier-chained scheduler

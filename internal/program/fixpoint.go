@@ -14,8 +14,9 @@ package program
 // When every frontier is empty, reached = seen[i] for all i, so
 // Image_i(reached) ⊆ reached for every partition: reached is the (unique)
 // least fixpoint, independent of visit order — chaotic iteration of monotone
-// operators on a finite lattice. One block holding all partitions is
-// chained to convergence (chainBlock).
+// operators on a finite lattice. The scheduler sweeps the partitions in
+// order, chaining each one's frontier images until it saturates, and repeats
+// the sweep until a whole sweep adds no state.
 
 import (
 	"context"
@@ -47,27 +48,25 @@ func image(sp *symbolic.Space, front, part bdd.Node, backward bool) bdd.Node {
 	return sp.Image(front, part)
 }
 
-// chainBlock advances one block of partitions to its block-local fixpoint:
-// starting from the rooted running set local and the given per-partition
-// initial frontiers (fronts[k] = local ∖ seen_global[parts[k]]), it chains
-// frontier images into local until no partition in the block can add states,
-// counting each image applied in *images. All nodes are relative to sp's
-// manager; local is updated in place.
-func chainBlock(ctx context.Context, sp *symbolic.Space, local *bdd.Rooted,
-	parts, fronts []bdd.Node, backward bool, images *int64) error {
+// fixpoint is the frontier-chained reachability scheduler — the one fixpoint
+// loop behind ReachableParts and BackwardReachableParts. init is conjoined
+// with ValidCur; the result is the least fixpoint of the partitioned
+// (pre)image closure. Every partition starts with seen = False, so its first
+// frontier is the whole initial set.
+func (e *Engine) fixpoint(ctx context.Context, init bdd.Node, parts []bdd.Node, backward bool) (bdd.Node, error) {
+	sp := e.C.Space
 	m := sp.M
 	sc := m.Protect()
 	defer sc.Release()
 	for _, p := range parts {
 		sc.Keep(p)
 	}
-	// Seen snapshots: everything except the handed-in frontier has already
-	// been imaged.
+	reached := sc.Slot(m.And(init, sp.ValidCur()))
 	seen := make([]*bdd.Rooted, len(parts))
 	for k := range parts {
-		sc.Keep(fronts[k])
-		seen[k] = sc.Slot(m.Diff(local.Node(), fronts[k]))
+		seen[k] = sc.Slot(bdd.False)
 	}
+	e.fix.Rounds++
 	for {
 		progress := false
 		for k, p := range parts {
@@ -76,49 +75,27 @@ func chainBlock(ctx context.Context, sp *symbolic.Space, local *bdd.Rooted,
 			}
 			for {
 				if err := ctx.Err(); err != nil {
-					return err
+					return reached.Node(), err // sound but incomplete on cancellation
 				}
-				front := m.Diff(local.Node(), seen[k].Node())
+				front := m.Diff(reached.Node(), seen[k].Node())
 				if front == bdd.False {
 					break // saturated until another partition adds states
 				}
-				seen[k].Set(local.Node())
+				seen[k].Set(reached.Node())
 				img := image(sp, front, p, backward)
-				*images++
-				add := m.Diff(img, local.Node())
+				e.fix.Images++
+				add := m.Diff(img, reached.Node())
 				if add == bdd.False {
 					break
 				}
-				local.Set(m.Or(local.Node(), add))
+				reached.Set(m.Or(reached.Node(), add))
 				progress = true
 			}
 		}
 		if !progress {
-			return nil
+			return reached.Node(), nil
 		}
 	}
-}
-
-// fixpoint is the frontier-chained reachability scheduler — the one fixpoint
-// loop behind ReachableParts and BackwardReachableParts. init is conjoined
-// with ValidCur; the result is the least fixpoint of the partitioned
-// (pre)image closure.
-func (e *Engine) fixpoint(ctx context.Context, init bdd.Node, parts []bdd.Node, backward bool) (bdd.Node, error) {
-	m := e.C.Space.M
-	sc := m.Protect()
-	defer sc.Release()
-	for _, p := range parts {
-		sc.Keep(p)
-	}
-	reached := sc.Slot(m.And(init, e.C.Space.ValidCur()))
-	// One block, all partitions, full initial frontiers.
-	fronts := make([]bdd.Node, len(parts))
-	for k := range fronts {
-		fronts[k] = reached.Node()
-	}
-	err := chainBlock(ctx, e.C.Space, reached, parts, fronts, backward, &e.fix.Images)
-	e.fix.Rounds++
-	return reached.Node(), err // sound but incomplete on cancellation
 }
 
 // CyclicCore returns the greatest fixpoint of states in region with a

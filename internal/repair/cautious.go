@@ -97,25 +97,27 @@ func CautiousEngine(ctx context.Context, eng *program.Engine, opts Options) (*Re
 		}
 		for {
 			// The harmful set is invariant across one removal round, and
-			// each process's removal touches only its own delta, so the
-			// per-process group closures are independent tasks.
-			harmful := m.OrN(
+			// each process's removal touches only its own delta. The
+			// round's scope roots harmful and every new delta across the
+			// group closures of the later processes.
+			rsc := m.Protect()
+			harmful := rsc.Keep(m.OrN(
 				mtHard,
 				banned.Node(),
 				m.AndN(span.Node(), m.Not(s.Prime(span.Node()))),           // escapes the span
 				m.AndN(invariant.Node(), m.Not(s.Prime(invariant.Node()))), // breaks invariant closure
-			)
-			next, err := eng.MapNodes(ctx, harmful, deltas,
-				func(wc *program.Compiled, harm, dj bdd.Node, j int) bdd.Node {
-					wm := wc.Space.M
-					bad := wm.And(dj, harm)
-					if bad == bdd.False {
-						return dj
-					}
-					return wm.Diff(dj, wc.Procs[j].Group(bad))
-				})
-			if err != nil {
-				return nil, engineErr(ctx, err)
+			))
+			next := make([]bdd.Node, len(c.Procs))
+			for j, p := range c.Procs {
+				if err := cancelled(ctx); err != nil {
+					rsc.Release()
+					return nil, err
+				}
+				next[j] = deltas[j]
+				if bad := m.And(deltas[j], harmful); bad != bdd.False {
+					next[j] = m.Diff(deltas[j], p.Group(bad))
+				}
+				rsc.Keep(next[j])
 			}
 			changed := false
 			for j := range deltas {
@@ -124,6 +126,7 @@ func CautiousEngine(ctx context.Context, eng *program.Engine, opts Options) (*Re
 					changed = true
 				}
 			}
+			rsc.Release()
 			if !changed {
 				break
 			}

@@ -106,12 +106,6 @@ type Options struct {
 	//
 	// Deprecated: the engine is serial.
 	Workers int
-	// GCThreshold overrides the managers' automatic-collection cadence for
-	// this run: a positive value collects after that many node allocations, a
-	// negative value disables automatic collection entirely (benchmarking the
-	// GC-off baseline), and 0 keeps the manager default (or the
-	// REPRO_GC_STRESS override).
-	GCThreshold int64
 	// NodeBudget, when positive, bounds the live BDD node count of the run's
 	// managers: if the synthesis pushes the live count past the budget and a
 	// collection cannot bring it back under, the run fails with a
@@ -174,8 +168,8 @@ func (o *Options) phase(name string) {
 	}
 }
 
-// ApplyEngine pushes the manager-tuning options — node budget, collection
-// cadence, reordering cadence — onto an engine's manager.
+// ApplyEngine pushes the manager-tuning options — node budget, reordering
+// cadence — onto an engine's manager.
 // Every run boundary that builds an engine (the repair algorithms, the
 // standalone verifier) funnels through it so the knobs mean the same thing
 // everywhere.
@@ -183,13 +177,6 @@ func (o *Options) ApplyEngine(eng *program.Engine) {
 	m := eng.C.Space.M
 	if o.NodeBudget > 0 {
 		m.SetNodeBudget(o.NodeBudget)
-	}
-	if o.GCThreshold != 0 {
-		n := o.GCThreshold
-		if n < 0 {
-			n = 0 // manager semantics: <= 0 disables automatic GC
-		}
-		m.SetGCThreshold(n)
 	}
 	if o.Reorder != 0 {
 		n := o.Reorder

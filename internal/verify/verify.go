@@ -65,7 +65,7 @@ type Check struct {
 	// may care about (e.g. progress lost to new invariant deadlocks).
 	Warning bool `json:"warning,omitempty"`
 	// Witness, when non-nil, is a concrete replayable trace demonstrating
-	// the failure (see ResultWitnessEngine). It is attached only to failed
+	// the failure (see ResultBackendEngine). It is attached only to failed
 	// checks with a trace-shaped failure mode: reachable bad
 	// states/transitions, deadlocks, livelocks, and unrealizable
 	// transitions.
@@ -149,37 +149,23 @@ func (r *Report) attach(name string, tr *witness.Trace) {
 // Result verifies a repair result against the compiled program it was
 // synthesized from.
 func Result(c *program.Compiled, res *repair.Result) *Report {
-	rep, _ := ResultEngine(context.Background(), program.NewEngine(c), res)
+	rep, _ := ResultBackendEngine(context.Background(), program.NewEngine(c), res, BackendBDD, false)
 	return rep
 }
 
-// ResultEngine is Result running the per-process predicates (the maximal
-// realizable subsets every safety and realizability check builds on) and the
-// reachability fixpoints on the given engine. The error is non-nil only on
-// context cancellation.
-func ResultEngine(ctx context.Context, e *program.Engine, res *repair.Result) (*Report, error) {
-	return resultEngine(ctx, e, res, BackendBDD, false)
-}
-
-// ResultWitnessEngine is ResultEngine plus witness extraction: every failed
-// check with a trace-shaped failure mode carries a concrete Trace that
-// witness.Certify confirms. Extraction works from the same canonical
-// fixpoint sets the checks computed, so the attached witnesses are
-// byte-identical under any collection or reordering cadence.
-func ResultWitnessEngine(ctx context.Context, e *program.Engine, res *repair.Result) (*Report, error) {
-	return resultEngine(ctx, e, res, BackendBDD, true)
-}
-
-// ResultBackendEngine is the backend-selecting entry point: ResultEngine /
-// ResultWitnessEngine with the reachability checks (and, with witnesses, the
-// safety and deadlock trace search) routed through the chosen engine. Both
-// backends emit the same check names with the same pass/fail meaning, which
-// is what the differential gate compares.
+// ResultBackendEngine is Result running the per-process predicates (the
+// maximal realizable subsets every safety and realizability check builds on)
+// and the reachability fixpoints on the given engine, with the reachability
+// checks (and, with witnesses, the safety and deadlock trace search) routed
+// through the chosen backend. Both backends emit the same check names with
+// the same pass/fail meaning, which is what the differential gate compares.
+//
+// With withWitness, every failed check with a trace-shaped failure mode
+// carries a concrete Trace that witness.Certify confirms. Extraction works
+// from the same canonical fixpoint sets the checks computed, so the attached
+// witnesses are byte-identical under any collection or reordering cadence.
+// The error is non-nil only on context cancellation.
 func ResultBackendEngine(ctx context.Context, e *program.Engine, res *repair.Result, backend Backend, withWitness bool) (*Report, error) {
-	return resultEngine(ctx, e, res, backend, withWitness)
-}
-
-func resultEngine(ctx context.Context, e *program.Engine, res *repair.Result, backend Backend, withWitness bool) (*Report, error) {
 	c := e.C
 	m := c.Space.M
 	s := c.Space
@@ -210,15 +196,14 @@ func resultEngine(ctx context.Context, e *program.Engine, res *repair.Result, ba
 	// --- safety under faults ----------------------------------------------
 	// Partition the program's transitions by process for image computation;
 	// every realizable δ' is covered by its per-process maximal realizable
-	// subsets, and faults are partitioned per action.
-	procParts, err := e.MapProcs(ctx, trans, func(wc *program.Compiled, j int, tr bdd.Node) bdd.Node {
-		return wc.Procs[j].MaxRealizableSubset(tr)
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range procParts {
-		sc.Keep(p) // the per-process parts feed every later check
+	// subsets, and faults are partitioned per action. The per-process parts
+	// feed every later check, so they stay rooted.
+	procParts := make([]bdd.Node, len(c.Procs))
+	for j, p := range c.Procs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		procParts[j] = sc.Keep(p.MaxRealizableSubset(trans))
 	}
 	// The three reachability-shaped checks are the backend seam: BDD computes
 	// the exact reachable set once and intersects; SAT answers each question

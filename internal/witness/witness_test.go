@@ -58,7 +58,7 @@ func TestOriginalProgramFailuresHaveCertifiedWitnesses(t *testing.T) {
 			// invariant, with the whole state space as the claimed span (the
 			// original program certifies no fault-span of its own).
 			res := &repair.Result{Trans: c.Trans, Invariant: c.Invariant, FaultSpan: c.Space.ValidCur()}
-			rep, err := verify.ResultWitnessEngine(context.Background(), program.NewEngine(c), res)
+			rep, err := verify.ResultBackendEngine(context.Background(), program.NewEngine(c), res, verify.BackendBDD, true)
 			if err != nil {
 				t.Fatal(err)
 			}
